@@ -2,12 +2,16 @@
 
 Three engines with one semantics:
 
-* `evaluate` — top-down with memoization on (subformula, relevant
-  assignment); the workhorse.
-* `evaluate_naive` — the same clauses with no caching at all; kept as the
-  cross-check oracle.
+* `evaluate` — top-down with memoization on (interned subformula,
+  values of its free variables); the workhorse.
+* `evaluate_naive` — the same top-down clauses with the memo off; a check
+  on the memo keys.
 * `TruthTables` / `evaluate_fast` — bottom-up tables packed into Python
-  big ints, one bit per assignment; the fast path for exhaustive sweeps.
+  big ints, one bit per assignment; the fast path for exhaustive sweeps,
+  and the independent second route.
+
+Both engines run on `syntax.Interner` nodes, which carry each
+subformula's free variables.
 
 Plus `ef_equivalent`, the r-round back-and-forth game.
 """
@@ -22,8 +26,8 @@ import numpy as np
 from . import model as modelmod, quantifiers as quantmod
 from .model import BrModel
 from .syntax import (And, Atom, BuiltinAtom, Count, Eq, Exists, Forall,
-                     Formula, Iff, Imp, Not, Or, QApp, SetAtom, SetExists,
-                     SetForall, free_set_variables, free_variables)
+                     Formula, Iff, Imp, Interner, Node, Not, Or, QApp, SetAtom,
+                     SetExists, SetForall, free_variables)
 
 MSO_CAP = 16
 DEFAULT_BUDGET = 50_000_000
@@ -43,11 +47,11 @@ def default_quantifiers() -> dict:
     return _default_quants
 
 
-def _check_closed(phi, assignment, set_assignment):
-    missing = free_variables(phi) - set(assignment)
+def _check_closed(node: Node, assignment, set_assignment):
+    missing = set(node.free) - set(assignment)
     if missing:
         raise ValueError(f"unassigned variables: {sorted(missing)}")
-    missing = free_set_variables(phi) - set(set_assignment)
+    missing = set(node.free_sets) - set(set_assignment)
     if missing:
         raise ValueError(f"unassigned set variables: {sorted(missing)}")
 
@@ -55,30 +59,41 @@ def _check_closed(phi, assignment, set_assignment):
 class _TopDown:
     def __init__(self, m: BrModel, builtins, quantifiers, budget, mso_cap):
         self.m = m
-        self.builtins = builtins
-        self.quantifiers = quantifiers
+        self.builtins = (builtins if builtins is not None
+                         else modelmod.builtin_registry())
+        self.quantifiers = (quantifiers if quantifiers is not None
+                            else default_quantifiers())
         self.budget = budget
         self.mso_cap = mso_cap
         self.ops = 0
         self.memo: dict = {}
+        self.interner = Interner(self.quantifiers)
+        self.nodes = self.interner.nodes
 
-    def run(self, phi, assignment, set_assignment) -> bool:
+    def decide(self, phi, assignment, set_assignment) -> bool:
+        a = dict(assignment or {})
+        sa = {k: frozenset(v) for k, v in (set_assignment or {}).items()}
+        root = self.interner.intern(phi)
+        _check_closed(self.nodes[root], a, sa)
+        return self.run(root, a, sa)
+
+    def run(self, i, assignment, set_assignment) -> bool:
         self.ops += 1
         if self.budget is not None and self.ops > self.budget:
             raise BudgetExceeded(f"evaluation budget of {self.budget} exhausted")
-        key = (id(phi),
-               tuple(sorted((v, assignment[v]) for v in free_variables(phi))),
-               tuple(sorted((v, set_assignment[v])
-                            for v in free_set_variables(phi))))
+        node = self.nodes[i]
+        key = (i, tuple([assignment[v] for v in node.free]),
+               tuple([set_assignment[v] for v in node.free_sets]))
         hit = self.memo.get(key)
         if hit is not None:
             return hit
-        out = self._eval(phi, assignment, set_assignment)
+        out = self._eval(node, assignment, set_assignment)
         self.memo[key] = out
         return out
 
-    def _eval(self, phi, a, sa) -> bool:
+    def _eval(self, node, a, sa) -> bool:
         m = self.m
+        phi, kids = node.phi, node.kids
         if isinstance(phi, Atom):
             return tuple(a[v] for v in phi.args) in m.rels[phi.name]
         if isinstance(phi, BuiltinAtom):
@@ -88,35 +103,32 @@ class _TopDown:
         if isinstance(phi, SetAtom):
             return a[phi.arg] in sa[phi.setvar]
         if isinstance(phi, Not):
-            return not self.run(phi.sub, a, sa)
+            return not self.run(kids[0], a, sa)
         if isinstance(phi, And):
-            return self.run(phi.left, a, sa) and self.run(phi.right, a, sa)
+            return self.run(kids[0], a, sa) and self.run(kids[1], a, sa)
         if isinstance(phi, Or):
-            return self.run(phi.left, a, sa) or self.run(phi.right, a, sa)
+            return self.run(kids[0], a, sa) or self.run(kids[1], a, sa)
         if isinstance(phi, Imp):
-            return (not self.run(phi.left, a, sa)) or self.run(phi.right, a, sa)
+            return (not self.run(kids[0], a, sa)) or self.run(kids[1], a, sa)
         if isinstance(phi, Iff):
-            return self.run(phi.left, a, sa) == self.run(phi.right, a, sa)
+            return self.run(kids[0], a, sa) == self.run(kids[1], a, sa)
         if isinstance(phi, Exists):
-            return any(self.run(phi.sub, {**a, phi.var: e}, sa)
+            return any(self.run(kids[0], {**a, phi.var: e}, sa)
                        for e in range(m.n))
         if isinstance(phi, Forall):
-            return all(self.run(phi.sub, {**a, phi.var: e}, sa)
+            return all(self.run(kids[0], {**a, phi.var: e}, sa)
                        for e in range(m.n))
         if isinstance(phi, Count):
             hits = sum(1 for e in range(m.n)
-                       if self.run(phi.sub, {**a, phi.var: e}, sa))
+                       if self.run(kids[0], {**a, phi.var: e}, sa))
             return hits == m.f[a[phi.target]]
         if isinstance(phi, QApp):
             q = self.quantifiers[phi.qname]
             rels = []
-            for (vs, sub), ar in zip(phi.slots, q.slot_arities):
-                if len(vs) != ar:
-                    raise ValueError(f"{phi.qname}: slot binds {len(vs)} "
-                                     f"variables, expected {ar}")
+            for (vs, _), k in zip(phi.slots, kids):
                 rel = frozenset(
                     t for t in itertools.product(range(m.n), repeat=len(vs))
-                    if self.run(sub, {**a, **dict(zip(vs, t))}, sa))
+                    if self.run(k, {**a, **dict(zip(vs, t))}, sa))
                 rels.append(rel)
             return bool(q.decide(m.n, rels, m.f))
         if isinstance(phi, (SetExists, SetForall)):
@@ -127,79 +139,34 @@ class _TopDown:
             universe = range(m.n)
             subsets = (frozenset(s) for r in range(m.n + 1)
                        for s in itertools.combinations(universe, r))
-            runs = (self.run(phi.sub, a, {**sa, phi.setvar: s})
+            runs = (self.run(kids[0], a, {**sa, phi.setvar: s})
                     for s in subsets)
             return any(runs) if isinstance(phi, SetExists) else all(runs)
         raise TypeError(f"not a formula: {phi!r}")
+
+
+class _Naive(_TopDown):
+    """The same clauses with the memo off: every subformula is evaluated
+    afresh, so a wrong memo key shows as a disagreement."""
+
+    def run(self, i, assignment, set_assignment) -> bool:
+        return self._eval(self.nodes[i], assignment, set_assignment)
 
 
 def evaluate(m: BrModel, phi: Formula, assignment: Optional[dict] = None, *,
              builtins=None, quantifiers=None, set_assignment=None,
              budget: Optional[int] = DEFAULT_BUDGET,
              mso_cap: int = MSO_CAP) -> bool:
-    assignment = dict(assignment or {})
-    set_assignment = {k: frozenset(v) for k, v in (set_assignment or {}).items()}
-    _check_closed(phi, assignment, set_assignment)
-    eng = _TopDown(m,
-                   builtins if builtins is not None else modelmod.builtin_registry(),
-                   quantifiers if quantifiers is not None else default_quantifiers(),
-                   budget, mso_cap)
-    return eng.run(phi, assignment, set_assignment)
+    eng = _TopDown(m, builtins, quantifiers, budget, mso_cap)
+    return eng.decide(phi, assignment, set_assignment)
 
 
 def evaluate_naive(m: BrModel, phi: Formula, assignment: Optional[dict] = None,
                    *, builtins=None, quantifiers=None, set_assignment=None,
                    mso_cap: int = MSO_CAP) -> bool:
-    """Reference evaluation: the defining clauses verbatim, no caches."""
-    builtins = builtins if builtins is not None else modelmod.builtin_registry()
-    quantifiers = quantifiers if quantifiers is not None else default_quantifiers()
-    a = dict(assignment or {})
-    sa = {k: frozenset(v) for k, v in (set_assignment or {}).items()}
-    _check_closed(phi, a, sa)
-
-    def ev(phi, a, sa):
-        if isinstance(phi, Atom):
-            return tuple(a[v] for v in phi.args) in m.rels[phi.name]
-        if isinstance(phi, BuiltinAtom):
-            return builtins[phi.name].eval_on(m, tuple(a[v] for v in phi.args))
-        if isinstance(phi, Eq):
-            return a[phi.left] == a[phi.right]
-        if isinstance(phi, SetAtom):
-            return a[phi.arg] in sa[phi.setvar]
-        if isinstance(phi, Not):
-            return not ev(phi.sub, a, sa)
-        if isinstance(phi, And):
-            return ev(phi.left, a, sa) and ev(phi.right, a, sa)
-        if isinstance(phi, Or):
-            return ev(phi.left, a, sa) or ev(phi.right, a, sa)
-        if isinstance(phi, Imp):
-            return (not ev(phi.left, a, sa)) or ev(phi.right, a, sa)
-        if isinstance(phi, Iff):
-            return ev(phi.left, a, sa) == ev(phi.right, a, sa)
-        if isinstance(phi, Exists):
-            return any(ev(phi.sub, {**a, phi.var: e}, sa) for e in range(m.n))
-        if isinstance(phi, Forall):
-            return all(ev(phi.sub, {**a, phi.var: e}, sa) for e in range(m.n))
-        if isinstance(phi, Count):
-            hits = sum(1 for e in range(m.n) if ev(phi.sub, {**a, phi.var: e}, sa))
-            return hits == m.f[a[phi.target]]
-        if isinstance(phi, QApp):
-            q = quantifiers[phi.qname]
-            rels = [frozenset(t for t in
-                              itertools.product(range(m.n), repeat=len(vs))
-                              if ev(sub, {**a, **dict(zip(vs, t))}, sa))
-                    for vs, sub in phi.slots]
-            return bool(q.decide(m.n, rels, m.f))
-        if isinstance(phi, (SetExists, SetForall)):
-            if m.n > mso_cap:
-                raise BudgetExceeded(f"set quantification cap is 2^{mso_cap}")
-            subsets = (frozenset(s) for r in range(m.n + 1)
-                       for s in itertools.combinations(range(m.n), r))
-            runs = (ev(phi.sub, a, {**sa, phi.setvar: s}) for s in subsets)
-            return any(runs) if isinstance(phi, SetExists) else all(runs)
-        raise TypeError(f"not a formula: {phi!r}")
-
-    return ev(phi, a, sa)
+    """Reference evaluation: the top-down clauses with no memo."""
+    eng = _Naive(m, builtins, quantifiers, None, mso_cap)
+    return eng.decide(phi, assignment, set_assignment)
 
 
 # ---------------------------------------------------------------------------
@@ -244,7 +211,9 @@ def _count_axis(table: int, n: int, low: int, total: int) -> np.ndarray:
 class TruthTables:
     """Bottom-up evaluation: for each subformula a pair (vars, bits) where
     vars is the sorted tuple of free first-order variables and bit number
-    sum(a(vars[i]) * n**i) records the truth value under assignment a."""
+    sum(a(vars[i]) * n**i) records the truth value under assignment a.
+    Tables are memoized per interned node, and each instance has its own
+    interner, so a reused instance never mistakes one formula for another."""
 
     def __init__(self, m: BrModel, builtins=None, quantifiers=None,
                  mso_cap: int = MSO_CAP):
@@ -256,30 +225,26 @@ class TruthTables:
                             else default_quantifiers())
         self.mso_cap = mso_cap
         self.memo: dict = {}
+        self.interner = Interner(self.quantifiers)
+        self.nodes = self.interner.nodes
         self.full1 = (1 << self.n) - 1
 
     def full(self, k: int) -> int:
         return (1 << self.n ** k) - 1
 
     def table(self, phi: Formula, set_assignment=None) -> tuple:
-        sa = tuple(sorted((k, frozenset(v))
-                          for k, v in (set_assignment or {}).items()))
-        return self._table(phi, dict(sa))
+        sa = {k: frozenset(v) for k, v in (set_assignment or {}).items()}
+        return self._table(self.interner.intern(phi), sa)
 
-    def _table(self, phi, sa) -> tuple:
-        key = (id(phi), tuple(sorted(sa.items())))
+    def _table(self, i, sa) -> tuple:
+        node = self.nodes[i]
+        key = (i, tuple([sa[v] for v in node.free_sets]))
         hit = self.memo.get(key)
         if hit is not None:
             return hit
-        out = self._build(phi, sa)
+        out = self._build(node, sa)
         self.memo[key] = out
         return out
-
-    def _align(self, t1, t2):
-        """Bring two (vars, bits) tables to a common variable tuple."""
-        (v1, b1), (v2, b2) = t1, t2
-        vs = tuple(sorted(set(v1) | set(v2)))
-        return vs, self._expand(v1, b1, vs), self._expand(v2, b2, vs)
 
     def _expand(self, have, bits, target_vs):
         n = self.n
@@ -298,10 +263,9 @@ class TruthTables:
                 arr = np.repeat(arr.reshape(-1, 1, n ** i), n, axis=1).ravel()
         return arr
 
-    def _atom_bits(self, args, holds_tuples) -> tuple:
-        """Sparse build: set bits for listed tuples, honoring repeated
-        argument variables."""
-        vs = tuple(sorted(set(args)))
+    def _atom_bits(self, vs, args, holds_tuples) -> tuple:
+        """Sparse build over the sorted distinct arguments `vs`: set bits
+        for listed tuples, honoring repeated argument variables."""
         pos = {v: i for i, v in enumerate(vs)}
         n = self.n
         bits = 0
@@ -316,10 +280,9 @@ class TruthTables:
                 bits |= 1 << sum(vals[v] * n ** pos[v] for v in vs)
         return vs, bits
 
-    def _builtin_bits(self, phi: BuiltinAtom) -> tuple:
+    def _builtin_bits(self, phi: BuiltinAtom, vs) -> tuple:
         n = self.n
         rel = self.builtins[phi.name]
-        vs = tuple(sorted(set(phi.args)))
         k = len(vs)
         fvals = np.asarray(self.m.f, dtype=np.int64)
         # arrays indexed [v_{k-1}, ..., v_0]; C-ravel puts v_0 on stride 1
@@ -345,26 +308,28 @@ class TruthTables:
         arr = np.broadcast_to(arr, (n,) * k)
         return vs, _bits_to_int(arr)
 
-    def _build(self, phi, sa) -> tuple:
+    def _build(self, node, sa) -> tuple:
         n = self.n
+        phi, kids = node.phi, node.kids
         if isinstance(phi, Atom):
-            return self._atom_bits(phi.args, self.m.rels[phi.name])
+            return self._atom_bits(node.free, phi.args, self.m.rels[phi.name])
         if isinstance(phi, BuiltinAtom):
-            return self._builtin_bits(phi)
+            return self._builtin_bits(phi, node.free)
         if isinstance(phi, Eq):
             if phi.left == phi.right:
                 return (phi.left,), self.full1
-            return self._atom_bits((phi.left, phi.right),
+            return self._atom_bits(node.free, (phi.left, phi.right),
                                    ((e, e) for e in range(n)))
         if isinstance(phi, SetAtom):
             s = sa[phi.setvar]
             return (phi.arg,), sum(1 << e for e in s)
         if isinstance(phi, Not):
-            vs, b = self._table(phi.sub, sa)
+            vs, b = self._table(kids[0], sa)
             return vs, b ^ self.full(len(vs))
         if isinstance(phi, (And, Or, Imp, Iff)):
-            vs, b1, b2 = self._align(self._table(phi.left, sa),
-                                     self._table(phi.right, sa))
+            vs = node.free
+            b1 = self._expand(*self._table(kids[0], sa), vs)
+            b2 = self._expand(*self._table(kids[1], sa), vs)
             full = self.full(len(vs))
             if isinstance(phi, And):
                 return vs, b1 & b2
@@ -374,15 +339,14 @@ class TruthTables:
                 return vs, (b1 ^ full) | b2
             return vs, (b1 ^ b2) ^ full
         if isinstance(phi, (Exists, Forall)):
-            vs, b = self._table(phi.sub, sa)
+            vs, b = self._table(kids[0], sa)
             if phi.var not in vs:
                 return vs, b  # vacuous: the domain is nonempty
             i = vs.index(phi.var)
             mode = "any" if isinstance(phi, Exists) else "all"
-            out = _collapse_axis(b, n, n ** i, mode, n ** len(vs))
-            return tuple(v for v in vs if v != phi.var), out
+            return node.free, _collapse_axis(b, n, n ** i, mode, n ** len(vs))
         if isinstance(phi, Count):
-            vs, b = self._table(phi.sub, sa)
+            vs, b = self._table(kids[0], sa)
             if phi.var in vs:
                 i = vs.index(phi.var)
                 counts = _count_axis(b, n, n ** i, n ** len(vs))
@@ -391,7 +355,7 @@ class TruthTables:
                 rest = vs
                 counts = _unpack(b, n ** len(vs)).astype(np.int64) * n
             f = self.m.f
-            out_vs = tuple(sorted(set(rest) | {phi.target}))
+            out_vs = node.free
             rest_pos = [out_vs.index(v) for v in rest]
             tpos = out_vs.index(phi.target)
             out = 0
@@ -411,15 +375,14 @@ class TruthTables:
             return out_vs, out
         if isinstance(phi, QApp):
             q = self.quantifiers[phi.qname]
-            outer = tuple(sorted(free_variables(phi)))
-            if (q.sizes_decide is not None
-                    and all(len(vs) == 1 for vs, _ in phi.slots)):
-                # unary slots with a cardinality-only verdict: count
-                # witnesses along each bound axis and decide once per
-                # distinct size combination
+            outer = node.free
+            if q.sizes_decide is not None:
+                # unary slots (the interner checked the arities) with a
+                # cardinality-only verdict: count witnesses along each
+                # bound axis and decide once per distinct size combination
                 counts = []
-                for (vb,), sub in phi.slots:
-                    svs, sb = self._table(sub, sa)
+                for ((vb,), _), k in zip(phi.slots, kids):
+                    svs, sb = self._table(k, sa)
                     if vb in svs:
                         i = svs.index(vb)
                         arr = _count_axis(sb, n, n ** i, n ** len(svs))
@@ -446,8 +409,8 @@ class TruthTables:
                     dtype=bool, count=len(uniq))
                 return outer, _bits_to_int(verdict[inv.ravel()])
             slot_data = []
-            for vs_bound, sub in phi.slots:
-                svs, sb = self._table(sub, sa)
+            for (vs_bound, _), k in zip(phi.slots, kids):
+                svs, sb = self._table(k, sa)
                 slot_data.append((vs_bound, svs, sb))
             out = 0
             for assign in itertools.product(range(n), repeat=len(outer)):
@@ -467,17 +430,15 @@ class TruthTables:
         if isinstance(phi, (SetExists, SetForall)):
             if n > self.mso_cap:
                 raise BudgetExceeded(f"set quantification cap is 2^{self.mso_cap}")
-            acc_vs = None
             acc = None
             for mask in range(1 << n):
                 s = frozenset(e for e in range(n) if mask >> e & 1)
-                svs, sb = self._table(phi.sub, {**sa, phi.setvar: s})
+                _, sb = self._table(kids[0], {**sa, phi.setvar: s})
                 if acc is None:
-                    acc_vs, acc = svs, sb
+                    acc = sb
                 else:
-                    acc_vs, b1, b2 = self._align((acc_vs, acc), (svs, sb))
-                    acc = b1 | b2 if isinstance(phi, SetExists) else b1 & b2
-            return acc_vs, acc
+                    acc = acc | sb if isinstance(phi, SetExists) else acc & sb
+            return node.free, acc
         raise TypeError(f"not a formula: {phi!r}")
 
 
@@ -487,9 +448,9 @@ def evaluate_fast(m: BrModel, phi: Formula, assignment=None, *,
     """Bottom-up evaluation; best when the formula is to be decided on the
     whole model (it computes full tables regardless of the assignment)."""
     assignment = dict(assignment or {})
-    _check_closed(phi, assignment,
-                  {k: frozenset(v) for k, v in (set_assignment or {}).items()})
     tt = TruthTables(m, builtins, quantifiers, mso_cap)
+    _check_closed(tt.nodes[tt.interner.intern(phi)], assignment,
+                  set_assignment or {})
     vs, bits = tt.table(phi, set_assignment)
     idx = sum(assignment[v] * m.n ** i for i, v in enumerate(vs))
     return bool(bits >> idx & 1)

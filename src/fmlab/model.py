@@ -123,10 +123,6 @@ def builtin_registry(set_registry: Optional[dict[str, NumericalSet]] = None
     return out
 
 
-def builtin_eval(rel: NumericalRelation, m: BrModel, tup: tuple) -> bool:
-    return rel.eval_on(m, tup)
-
-
 def relativize(m: BrModel, universe) -> tuple[BrModel, dict[int, int]]:
     """Substructure on `universe` with the order-collapsed permutation:
     f_U(a) <= f_U(b) iff f(a) <= f(b).  Returns the model and the

@@ -78,10 +78,3 @@ def random_formula(rng, vocab: dict, depth: int, pool, quants=None,
     gen = FormulaGen(vocab, quants, builtins, allow_count)
     return gen.formula(rng, depth, pool)
 
-
-def random_sentence(rng, vocab: dict, depth: int, quants=None,
-                    builtins=("le", "lt")) -> Formula:
-    """A closed formula: one leading existential supplies the scope."""
-    gen = FormulaGen(vocab, quants, builtins)
-    v = gen._fresh()
-    return Exists(v, gen.formula(rng, depth, (v,)))

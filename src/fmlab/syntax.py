@@ -141,81 +141,130 @@ def is_set_var(name: str) -> bool:
     return bool(name) and name[0].isupper()
 
 
+def _split(phi: Formula) -> tuple:
+    """(scalar fields, child formulas) of one AST node."""
+    if isinstance(phi, (Atom, BuiltinAtom)):
+        return (phi.name, phi.args), ()
+    if isinstance(phi, Eq):
+        return (phi.left, phi.right), ()
+    if isinstance(phi, SetAtom):
+        return (phi.setvar, phi.arg), ()
+    if isinstance(phi, Not):
+        return (), (phi.sub,)
+    if isinstance(phi, (And, Or, Imp, Iff)):
+        return (), (phi.left, phi.right)
+    if isinstance(phi, (Exists, Forall)):
+        return (phi.var,), (phi.sub,)
+    if isinstance(phi, Count):
+        return (phi.var, phi.target), (phi.sub,)
+    if isinstance(phi, QApp):
+        return ((phi.qname, tuple(vs for vs, _ in phi.slots)),
+                tuple(sub for _, sub in phi.slots))
+    if isinstance(phi, (SetExists, SetForall)):
+        return (phi.setvar,), (phi.sub,)
+    raise TypeError(f"not a formula: {phi!r}")
+
+
+@dataclass(frozen=True)
+class Node:
+    """One interned subformula.  `phi` is the first formula interned under
+    this node's key; read its class and scalar fields, and reach its
+    children through `kids`, the child node ids."""
+    phi: Formula
+    kids: tuple
+    free: tuple       # sorted free first-order variables
+    free_sets: tuple  # sorted free set variables
+
+
+class Interner:
+    """Hash-consing (Filliatre & Conchon, Type-Safe Modular Hash-Consing,
+    2006): structurally equal subformulas share one node.  A node's key is
+    its class, its scalar fields and its child ids, so a lookup costs O(1)
+    per node and never depends on object identity.  Given a quantifier
+    registry, each application's slot arities are checked against it."""
+
+    def __init__(self, quantifiers: Optional[dict] = None):
+        self.quantifiers = quantifiers
+        self.nodes: list[Node] = []
+        self._ids: dict = {}
+
+    def intern(self, phi: Formula) -> int:
+        scalars, children = _split(phi)
+        kids = tuple([self.intern(c) for c in children])
+        key = (type(phi), scalars, kids)
+        i = self._ids.get(key)
+        if i is None:
+            if isinstance(phi, QApp):
+                self._check_slots(phi)
+            i = len(self.nodes)
+            self.nodes.append(Node(phi, kids, *self._scope(phi, kids)))
+            self._ids[key] = i
+        return i
+
+    def _check_slots(self, phi: QApp):
+        q = self.quantifiers.get(phi.qname) if self.quantifiers else None
+        got = [len(vs) for vs, _ in phi.slots]
+        if q is not None and got != list(q.slot_arities):
+            raise ValueError(f"{phi.qname} expects slot arities "
+                             f"{list(q.slot_arities)}, got {got}")
+
+    def _scope(self, phi: Formula, kids: tuple) -> tuple:
+        """The binding rules: free first-order and set variables from the
+        children's."""
+        if isinstance(phi, (Atom, BuiltinAtom)):
+            return tuple(sorted(set(phi.args))), ()
+        if isinstance(phi, Eq):
+            return tuple(sorted({phi.left, phi.right})), ()
+        if isinstance(phi, SetAtom):
+            return (phi.arg,), (phi.setvar,)
+        subs = [self.nodes[k] for k in kids]
+        if isinstance(phi, Not):
+            return subs[0].free, subs[0].free_sets
+        fo, so = set(), set()
+        for s in subs:
+            fo.update(s.free)
+            so.update(s.free_sets)
+        if isinstance(phi, (Exists, Forall)):
+            fo.discard(phi.var)
+        elif isinstance(phi, Count):
+            fo.discard(phi.var)
+            fo.add(phi.target)
+        elif isinstance(phi, QApp):
+            fo = set().union(*(set(s.free) - set(vs)
+                               for (vs, _), s in zip(phi.slots, subs)))
+        elif isinstance(phi, (SetExists, SetForall)):
+            so.discard(phi.setvar)
+        return tuple(sorted(fo)), tuple(sorted(so))
+
+
+def _root(phi: Formula) -> Node:
+    interner = Interner()
+    return interner.nodes[interner.intern(phi)]
+
+
 def free_variables(phi: Formula) -> set[str]:
     """Free first-order variables."""
-    if isinstance(phi, (Atom, BuiltinAtom)):
-        return set(phi.args)
-    if isinstance(phi, Eq):
-        return {phi.left, phi.right}
-    if isinstance(phi, SetAtom):
-        return {phi.arg}
-    if isinstance(phi, Not):
-        return free_variables(phi.sub)
-    if isinstance(phi, (And, Or, Imp, Iff)):
-        return free_variables(phi.left) | free_variables(phi.right)
-    if isinstance(phi, (Exists, Forall)):
-        return free_variables(phi.sub) - {phi.var}
-    if isinstance(phi, Count):
-        return (free_variables(phi.sub) - {phi.var}) | {phi.target}
-    if isinstance(phi, QApp):
-        out = set()
-        for vs, sub in phi.slots:
-            out |= free_variables(sub) - set(vs)
-        return out
-    if isinstance(phi, (SetExists, SetForall)):
-        return free_variables(phi.sub)
-    raise TypeError(f"not a formula: {phi!r}")
+    return set(_root(phi).free)
 
 
 def free_set_variables(phi: Formula) -> set[str]:
-    if isinstance(phi, SetAtom):
-        return {phi.setvar}
-    if isinstance(phi, (Atom, BuiltinAtom, Eq)):
-        return set()
-    if isinstance(phi, Not):
-        return free_set_variables(phi.sub)
-    if isinstance(phi, (And, Or, Imp, Iff)):
-        return free_set_variables(phi.left) | free_set_variables(phi.right)
-    if isinstance(phi, (Exists, Forall, Count)):
-        return free_set_variables(phi.sub)
-    if isinstance(phi, QApp):
-        out = set()
-        for _, sub in phi.slots:
-            out |= free_set_variables(sub)
-        return out
-    if isinstance(phi, (SetExists, SetForall)):
-        return free_set_variables(phi.sub) - {phi.setvar}
-    raise TypeError(f"not a formula: {phi!r}")
+    return set(_root(phi).free_sets)
+
+
+_BINDERS = (Exists, Forall, Count, QApp, SetExists, SetForall)
 
 
 def quantifier_rank(phi: Formula) -> int:
     """Nesting depth; every binder (including a generalized-quantifier
     application, whatever its tuple widths) counts one."""
-    if isinstance(phi, (Atom, BuiltinAtom, Eq, SetAtom)):
-        return 0
-    if isinstance(phi, Not):
-        return quantifier_rank(phi.sub)
-    if isinstance(phi, (And, Or, Imp, Iff)):
-        return max(quantifier_rank(phi.left), quantifier_rank(phi.right))
-    if isinstance(phi, (Exists, Forall, Count, SetExists, SetForall)):
-        return 1 + quantifier_rank(phi.sub)
-    if isinstance(phi, QApp):
-        return 1 + max(quantifier_rank(sub) for _, sub in phi.slots)
-    raise TypeError(f"not a formula: {phi!r}")
+    inner = max(map(quantifier_rank, _split(phi)[1]), default=0)
+    return inner + (1 if isinstance(phi, _BINDERS) else 0)
 
 
 def subformulas(phi: Formula):
     yield phi
-    if isinstance(phi, Not):
-        yield from subformulas(phi.sub)
-    elif isinstance(phi, (And, Or, Imp, Iff)):
-        yield from subformulas(phi.left)
-        yield from subformulas(phi.right)
-    elif isinstance(phi, (Exists, Forall, Count, SetExists, SetForall)):
-        yield from subformulas(phi.sub)
-    elif isinstance(phi, QApp):
-        for _, sub in phi.slots:
-            yield from subformulas(sub)
+    for sub in _split(phi)[1]:
+        yield from subformulas(sub)
 
 
 # ---------------------------------------------------------------------------
@@ -490,11 +539,8 @@ class Parser:
                                      f"{len(args)} arguments", self.pos())
                 return SetAtom(name, args[0])
             if self.vocab is None:
-                if is_set_var(name) and len(args) == 1:
-                    # without a vocabulary, a unary uppercase application is
-                    # read as a relation atom (the common case); use EX/AX
-                    # bound names for set atoms when parsing untyped text
-                    return Atom(name, tuple(args))
+                # without a vocabulary every application, a unary uppercase
+                # one included, is read as a relation atom
                 return Atom(name, tuple(args))
             raise ParseError(f"unknown relation {name!r}", self.pos())
         # variable-led sugar: x=y, x<y, x<=y, x+y=z

@@ -96,6 +96,8 @@ FORMULAS = [
     "!(E x. U(x)) <-> A x. !U(x)",
     "Maj2(x,y: R(x, y) | U(x))",
     "E x. (x + y = z | @times(x, y, z))",
+    "(E x. U(x)) & (E x. U(x))",
+    "E x. (U(x) & E x. R(x, x))",
 ]
 
 
@@ -136,6 +138,28 @@ def test_truth_tables_match_pointwise():
             for y in range(n):
                 want = evaluate_naive(m, phi, {"x": x, "y": y})
                 assert bool(bits >> (x + n * y) & 1) == want
+
+
+def test_reused_truth_tables_never_alias():
+    # a reused instance meets fresh formulas, often at the addresses of dead
+    # ones; each must still get its own table
+    texts = ["U(x)", "!U(x)", "E y. U(y) & x = x", "A y. U(y)", "!!U(x)"]
+    m = BrModel(4, VOCAB, {"U": {(0,), (2,)}, "R": set()})
+    tt = TruthTables(m)
+    for _ in range(200):
+        for text in texts:
+            assert tt.table(parse(text, VOCAB)) == \
+                TruthTables(m).table(parse(text, VOCAB))
+
+
+@pytest.mark.parametrize("engine", [evaluate, evaluate_naive, evaluate_fast])
+@pytest.mark.parametrize("text", ["Maj(x, y: R(x, y))", "Maj2(x: U(x))"])
+def test_slot_arity_checked_by_every_engine(engine, text):
+    # parsed without shapes; Maj has a sizes_decide, Maj2 takes the
+    # general route
+    m = fo_model(random.Random(4), 3)
+    with pytest.raises(ValueError, match="slot arities"):
+        engine(m, parse(text, VOCAB), {})
 
 
 def test_define_relation():

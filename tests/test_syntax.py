@@ -3,8 +3,8 @@ from hypothesis import given, settings, strategies as st
 
 from fmlab.randform import random_formula
 from fmlab.syntax import (And, Atom, BuiltinAtom, Count, Eq, Exists, Forall,
-                          Iff, Imp, Not, Or, ParseError, QApp, SetAtom,
-                          SetExists, conj, disj, free_set_variables,
+                          Iff, Imp, Interner, Not, Or, ParseError, QApp,
+                          SetAtom, SetExists, conj, disj, free_set_variables,
                           free_variables, parse, pretty, quantifier_rank,
                           subformulas)
 
@@ -102,6 +102,10 @@ def test_measures():
     assert free_variables(phi) == set()
     assert free_variables(parse("R(x, y) & E y. P(y)", V)) == {"x", "y"}
     assert sum(1 for _ in subformulas(phi)) == 6
+    twice = parse("(E x. P(x)) & (E x. P(x))", V)
+    interner = Interner()
+    interner.intern(twice)
+    assert len(interner.nodes) < sum(1 for _ in subformulas(twice))
 
 
 def test_conj_disj_helpers():
