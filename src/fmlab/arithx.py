@@ -1,11 +1,12 @@
 """Growing a partial multiplication into the full one.
 
 The engine of the arithmetic side of the workbench: a single extension
-round (`mu_step`) combines known products through addition, iterating it
-(`pi_extend`) recovers multiplication on the whole domain whenever the
-start relation is wide enough (`check_extension_hypothesis`).  Sparse
-sets with large gaps supply such start relations (`nu_from_set`), and
-`synthesize_multiplication` chains the pieces.
+round (`mu_step`) combines known products through addition; iterating it
+up to its fixed point (`extension_trace`) recovers multiplication on the
+whole domain whenever the start relation is wide enough
+(`check_extension_hypothesis`).  Sparse sets with large gaps supply such
+start relations (`nu_from_set`), and `synthesize_multiplication` chains
+the pieces.
 """
 
 from __future__ import annotations
@@ -15,9 +16,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .model import (BrModel, PartialArithModel, full_multiplication,
-                    partial_arith, zero_rows)
-from .sets import NumericalSet, occurrence_set
+from .model import PartialArithModel, partial_arith, zero_rows
+from .sets import NumericalSet, floor_nth_root, occurrence_set
 from .syntax import Formula, parse
 
 ARITH_VOCAB = {"A": 3, "M": 3}
@@ -91,25 +91,17 @@ def default_rounds(k: int) -> int:
     return 2 * math.ceil(math.log2(k)) + 2
 
 
-def pi_extend(pm: PartialArithModel, k: Optional[int] = None,
-              rounds: Optional[int] = None) -> PartialArithModel:
-    """Iterate the extension round; the default count suffices under the
-    width hypothesis."""
-    if rounds is None:
-        if k is None:
-            raise ValueError("give k or an explicit round count")
-        rounds = default_rounds(k)
-    for _ in range(rounds):
-        pm = mu_step(pm)
-    return pm
-
-
-def pi_trace(pm: PartialArithModel, rounds: int) -> list:
-    """The iterates [pm, mu(pm), mu^2(pm), ...] for property checks."""
-    out = [pm]
-    for _ in range(rounds):
-        out.append(mu_step(out[-1]))
-    return out
+def extension_trace(pm: PartialArithModel, k: int) -> list:
+    """The iterates [pm, mu(pm), mu^2(pm), ...]: at most default_rounds(k)
+    rounds, which suffice under the width hypothesis, and no round past the
+    first that returns its input (mu depends on the relation alone, so
+    every later round would return it too)."""
+    trace = [pm]
+    for _ in range(default_rounds(k)):
+        trace.append(mu_step(trace[-1]))
+        if trace[-1].mult == trace[-2].mult:
+            break
+    return trace
 
 
 def check_extension_hypothesis(pm: PartialArithModel, k: int,
@@ -124,6 +116,21 @@ def check_extension_hypothesis(pm: PartialArithModel, k: int,
     if (k * a_star) ** k > n ** (k - 1):
         return False
     return k * a_star * pm.gamma(a_star) >= n
+
+
+def _width_witness(n: int, k: int, start):
+    """The least width t >= n^(1/k) with (k t)^k <= n^(k-1) whose start
+    relation `start(t)` meets the width hypothesis, as (t, start(t));
+    None when no such t exists."""
+    if n < 1:
+        return None
+    t = floor_nth_root(n - 1, k) + 1
+    while (k * t) ** k <= n ** (k - 1):
+        pm = start(t)
+        if check_extension_hypothesis(pm, k, t):
+            return t, pm
+        t += 1
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -150,20 +157,10 @@ def seed_multiplication(n: int, a_star: int, height: Optional[int] = None,
 def choose_seed(n: int, k: int = 3):
     """A start relation and witness satisfying the width hypothesis, if
     one of the rectangle seeds does; returns (a_star, model)."""
-    lo = math.ceil(n ** (1 / k))
-    while lo ** k < n:
-        lo += 1
-    hi = n
-    for a_star in range(lo, hi):
-        if (k * a_star) ** k > n ** (k - 1):
-            break
-        try:
-            pm = seed_multiplication(n, a_star)
-        except ValueError:
-            continue
-        if check_extension_hypothesis(pm, k, a_star):
-            return a_star, pm
-    raise ValueError(f"no rectangle seed fits n={n}, k={k}")
+    found = _width_witness(n, k, lambda a_star: seed_multiplication(n, a_star))
+    if found is None:
+        raise ValueError(f"no rectangle seed fits n={n}, k={k}")
+    return found
 
 
 def nu_from_set(s: NumericalSet, n: int, t: int,
@@ -200,8 +197,7 @@ class SynthesisResult:
     t: Optional[int]
     word: str
     rounds: int
-    start: Optional[PartialArithModel]
-    final: Optional[PartialArithModel]
+    trace: list   # extension_trace of the start relation; [] without one
     note: str = ""
 
 
@@ -216,17 +212,12 @@ def synthesize_multiplication(s: NumericalSet, n: int, eps: Fraction,
     if k * eps <= 1:
         raise ValueError("need k * eps > 1")
     rounds = default_rounds(k)
-    lo = math.ceil(n ** (1 / k))
-    while lo ** k < n:
-        lo += 1
-    for t in range(lo, n):
-        if (k * t) ** k > n ** (k - 1):
-            break
-        start = nu_from_set(s, n, t, word)
-        if check_extension_hypothesis(start, k, t):
-            final = pi_extend(start, rounds=rounds)
-            ok = final.is_full()
-            return SynthesisResult(ok, n, k, t, word, rounds, start, final,
-                                   "" if ok else "extension fell short")
-    return SynthesisResult(False, n, k, None, word, rounds, None, None,
-                           "no admissible width witness")
+    found = _width_witness(n, k, lambda t: nu_from_set(s, n, t, word))
+    if found is None:
+        return SynthesisResult(False, n, k, None, word, rounds, [],
+                               "no admissible width witness")
+    t, start = found
+    trace = extension_trace(start, k)
+    ok = trace[-1].is_full()
+    return SynthesisResult(ok, n, k, t, word, rounds, trace,
+                           "" if ok else "extension fell short")

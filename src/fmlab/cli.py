@@ -13,8 +13,9 @@ from fractions import Fraction
 
 from . import arithx, quantifiers as quantmod, sets as setsmod, suites
 from .evaluator import ef_equivalent, evaluate
-from .model import (builtin_registry, parse_model, format_model,
-                    powerset_structure, word_model)
+from .model import (PartialArithModel, builtin_registry, format_model,
+                    full_multiplication, parse_model, powerset_structure,
+                    word_model)
 from .syntax import ParseError, parse, pretty
 from .transforms import mso_translate, relativize_formula, substitute
 
@@ -95,18 +96,14 @@ def _context(args):
     return builtins, registry, quantmod.registry_shapes(registry)
 
 
-def _parse_formula(args, vocab=None):
-    _, _, shapes = _context(args)
-    return parse(_formula_text(args.formula), vocab or {}, shapes)
-
-
 # ---------------------------------------------------------------------------
 # commands
 
 
 def _cmd_parse(args) -> int:
     vocab = _read_model(args.model).arities if args.model else {}
-    print(pretty(_parse_formula(args, vocab)))
+    _, _, shapes = _context(args)
+    print(pretty(parse(_formula_text(args.formula), vocab, shapes)))
     return 0
 
 
@@ -164,21 +161,26 @@ def _cmd_analyze_set(args) -> int:
     return 0
 
 
-def _trace(pm, k: int, a_star: int) -> int:
-    rounds = arithx.default_rounds(k)
-    trace = arithx.pi_trace(pm, rounds)
-    print(f"n={pm.n} k={k} a*={a_star} rounds={rounds}")
-    print("round  triples  gamma(a*)")
+def _print_trace(trace, a_star=None):
+    """One row per extension round (with gamma(a*) when a* is given), then
+    the round that returned its input, if the trace reached one."""
+    print("round  triples" + ("  gamma(a*)" if a_star else ""))
     for i, step in enumerate(trace):
-        print(f"{i:>5}  {len(step.mult):>7}  {step.gamma(a_star):>9}")
-    full = trace[-1].is_full()
-    print("full multiplication reached" if full else "not full")
-    return 0 if full else 1
+        gamma = f"  {step.gamma(a_star):>9}" if a_star else ""
+        print(f"{i:>5}  {len(step.mult):>7}{gamma}")
+    if len(trace) > 1 and trace[-1].mult == trace[-2].mult:
+        print(f"fixed point at round {len(trace) - 1}")
 
 
 def _cmd_mulext(args) -> int:
     a_star, pm = arithx.choose_seed(args.n, args.k)
-    return _trace(pm, args.k, a_star)
+    print(f"n={pm.n} k={args.k} a*={a_star} "
+          f"rounds={arithx.default_rounds(args.k)}")
+    trace = arithx.extension_trace(pm, args.k)
+    _print_trace(trace, a_star)
+    full = trace[-1].is_full()
+    print("full multiplication reached" if full else "not full")
+    return 0 if full else 1
 
 
 def _cmd_pipeline(args) -> int:
@@ -187,10 +189,8 @@ def _cmd_pipeline(args) -> int:
     res = arithx.synthesize_multiplication(s, args.n, eps)
     print(f"set={args.set} n={args.n} eps={eps} k={res.k} t={res.t} "
           f"word={res.word!r} rounds={res.rounds}")
-    if res.start is not None:
-        print("round  triples")
-        for i, step in enumerate(arithx.pi_trace(res.start, res.rounds)):
-            print(f"{i:>5}  {len(step.mult):>7}")
+    if res.trace:
+        _print_trace(res.trace)
     if res.note:
         print(res.note)
     print("full multiplication reached" if res.ok else "not full")
@@ -218,8 +218,6 @@ def _cmd_gen(args) -> int:
     elif args.kind == "powerset":
         m = powerset_structure(args.k)
     else:
-        from .model import full_multiplication
-        from .model import PartialArithModel
         m = PartialArithModel(args.n, full_multiplication(args.n)).as_br_model()
     sys.stdout.write(format_model(m))
     return 0

@@ -27,7 +27,7 @@ from . import model as modelmod, quantifiers as quantmod
 from .model import BrModel
 from .syntax import (And, Atom, BuiltinAtom, Count, Eq, Exists, Forall,
                      Formula, Iff, Imp, Interner, Node, Not, Or, QApp, SetAtom,
-                     SetExists, SetForall, free_variables)
+                     SetExists, SetForall)
 
 MSO_CAP = 16
 DEFAULT_BUDGET = 50_000_000
@@ -448,10 +448,11 @@ def evaluate_fast(m: BrModel, phi: Formula, assignment=None, *,
     """Bottom-up evaluation; best when the formula is to be decided on the
     whole model (it computes full tables regardless of the assignment)."""
     assignment = dict(assignment or {})
+    sa = {k: frozenset(v) for k, v in (set_assignment or {}).items()}
     tt = TruthTables(m, builtins, quantifiers, mso_cap)
-    _check_closed(tt.nodes[tt.interner.intern(phi)], assignment,
-                  set_assignment or {})
-    vs, bits = tt.table(phi, set_assignment)
+    root = tt.interner.intern(phi)
+    _check_closed(tt.nodes[root], assignment, sa)
+    vs, bits = tt._table(root, sa)
     idx = sum(assignment[v] * m.n ** i for i, v in enumerate(vs))
     return bool(bits >> idx & 1)
 
@@ -461,10 +462,11 @@ def define_relation(m: BrModel, phi: Formula, var_order, *, builtins=None,
     """The relation {tuple : phi holds} with argument positions taken in
     `var_order`; positions whose variable is not free range freely."""
     var_order = tuple(var_order)
-    if not free_variables(phi) <= set(var_order):
-        raise ValueError("var_order must cover the free variables")
     tt = TruthTables(m, builtins, quantifiers)
-    vs, bits = tt.table(phi)
+    root = tt.interner.intern(phi)
+    if not set(tt.nodes[root].free) <= set(var_order):
+        raise ValueError("var_order must cover the free variables")
+    vs, bits = tt._table(root, {})
     n = m.n
     unused = [v for v in var_order if v not in vs]
     out = set()

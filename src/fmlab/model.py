@@ -268,9 +268,6 @@ class PartialArithModel:
     def __repr__(self):
         return f"PartialArithModel(n={self.n}, |M|={len(self.mult)})"
 
-    def add_contains(self, a: int, b: int, c: int) -> bool:
-        return 0 <= a and 0 <= b and a + b == c < self.n
-
     def addition_triples(self):
         for a in range(self.n):
             for b in range(self.n - a):
@@ -296,13 +293,10 @@ def zero_rows(n: int) -> set[tuple]:
 
 
 def partial_arith(n: int, seed: Iterable[tuple],
-                  close_commutative: bool = False,
-                  add_zero_rows: bool = False) -> PartialArithModel:
+                  close_commutative: bool = False) -> PartialArithModel:
     m = set(tuple(t) for t in seed)
     if close_commutative:
         m |= {(b, a, c) for a, b, c in m}
-    if add_zero_rows:
-        m |= zero_rows(n)
     return PartialArithModel(n, m)
 
 

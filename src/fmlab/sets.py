@@ -31,12 +31,13 @@ def floor_nth_root(x: int, q: int) -> int:
         raise ValueError("need x >= 0, q >= 1")
     if x in (0, 1) or q == 1:
         return x
-    m = int(round(x ** (1.0 / q)))
-    while m ** q > x:
-        m -= 1
-    while (m + 1) ** q <= x:
-        m += 1
-    return m
+    # integer Newton steps from 2^ceil(bits/q) > root fall to the floor root
+    m = 1 << -(-x.bit_length() // q)
+    while True:
+        nxt = ((q - 1) * m + x // m ** (q - 1)) // q
+        if nxt >= m:
+            return m
+        m = nxt
 
 
 def floor_power(x: int, p: int, q: int) -> int:
@@ -279,9 +280,15 @@ def complement(inner: NumericalSet) -> NumericalSet:
     return NumericalSet(f"compl:{inner.spec}", contains, _scan_iterator(contains))
 
 
+SPEC_DEPTH = 100
+
+
 def parse_set_spec(text: str) -> NumericalSet:
     """Parse a set-spec string: mult:m, sq, poly:c0,c1,..., floorpow:p/q,
-    pow2, fact, primes, list:a,b,c, shift:+c:<spec>, compl:<spec>."""
+    pow2, fact, primes, list:a,b,c, shift:+c:<spec>, compl:<spec>.  At
+    most SPEC_DEPTH shift:/compl: wrappers may nest."""
+    if text.count("compl:") + text.count("shift:+") > SPEC_DEPTH:
+        raise ValueError(f"set spec nested deeper than {SPEC_DEPTH}")
     text = text.strip()
     if text == "sq":
         return squares()

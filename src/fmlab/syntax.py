@@ -300,6 +300,9 @@ def tokenize(text: str):
 
 RESERVED = {"E", "A", "EX", "AX"}
 
+# nesting levels (negations, binders, parentheses) a formula may have
+MAX_DEPTH = 100
+
 
 class Parser:
     """Recursive-descent parser.  `vocab` maps relation names to arities
@@ -312,6 +315,8 @@ class Parser:
         self.i = 0
         self.vocab = vocab
         self.quants = quants
+        self.depth = 0
+        self.set_scope: list[str] = []  # set variables bound by EX/AX
 
     def peek(self):
         return self.toks[self.i][0]
@@ -375,10 +380,18 @@ class Parser:
         return out
 
     def neg(self) -> Formula:
+        # every nesting level passes through here
+        self.depth += 1
+        if self.depth > MAX_DEPTH:
+            raise ParseError(f"formula nested deeper than {MAX_DEPTH}",
+                             self.pos())
         if self.peek() == "!":
             self.next()
-            return Not(self.neg())
-        return self.quant_or_prim()
+            out = Not(self.neg())
+        else:
+            out = self.quant_or_prim()
+        self.depth -= 1
+        return out
 
     def quant_or_prim(self) -> Formula:
         tok = self.peek()
@@ -402,7 +415,9 @@ class Parser:
             if not is_set_var(sv):
                 raise ParseError(f"{sv!r} is not a set variable", self.pos())
             self.expect(".")
+            self.set_scope.append(sv)
             body = self.neg()
+            self.set_scope.pop()
             return SetExists(sv, body) if tok == "EX" else SetForall(sv, body)
         if self.quants is not None and tok in self.quants:
             return self.qapp(self.next())
@@ -417,7 +432,6 @@ class Parser:
         j = self.i + 1
         if j < len(self.toks) and self.toks[j][0] != "(":
             # `Q x,y. ...` sugar
-            depth = 0
             while j < len(self.toks):
                 t = self.toks[j][0]
                 if t == ".":
@@ -533,14 +547,15 @@ class Parser:
                         f"{name} has arity {self.vocab[name]}, got {len(args)}",
                         self.pos())
                 return Atom(name, tuple(args))
-            if is_set_var(name) and (self.vocab is not None):
+            if is_set_var(name) and (self.vocab is not None
+                                     or name in self.set_scope):
                 if len(args) != 1:
                     raise ParseError(f"set variable {name} applied to "
                                      f"{len(args)} arguments", self.pos())
                 return SetAtom(name, args[0])
             if self.vocab is None:
-                # without a vocabulary every application, a unary uppercase
-                # one included, is read as a relation atom
+                # without a vocabulary every other application is read as
+                # a relation atom
                 return Atom(name, tuple(args))
             raise ParseError(f"unknown relation {name!r}", self.pos())
         # variable-led sugar: x=y, x<y, x<=y, x+y=z

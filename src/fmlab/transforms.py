@@ -4,12 +4,11 @@ powerset-membership structure into monadic second-order logic on words."""
 
 from __future__ import annotations
 
-import itertools
 from typing import Optional
 
 from .syntax import (And, Atom, BuiltinAtom, Count, Eq, Exists, Forall,
                      Formula, Iff, Imp, Not, Or, QApp, SetAtom, SetExists,
-                     SetForall, conj, disj, free_variables, is_set_var)
+                     SetForall, conj, free_variables)
 
 
 class _Names:

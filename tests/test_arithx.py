@@ -7,8 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 from fmlab import arithx, sets
 from fmlab.arithx import (check_extension_hypothesis, choose_seed,
-                          default_rounds, mu_relation, mu_relation_oracle,
-                          mu_step, nu_from_set, pi_extend, pi_trace,
+                          default_rounds, extension_trace, mu_relation,
+                          mu_relation_oracle, mu_step, nu_from_set,
                           seed_multiplication, synthesize_multiplication)
 from fmlab.model import (PartialArithModel, full_multiplication,
                          partial_arith, zero_rows)
@@ -67,7 +67,7 @@ def test_extension_round_growth_properties(n, rng):
 @settings(max_examples=40, deadline=None)
 def test_extension_round_doubling(n, rng):
     pm = random_pm(rng, n, p=rng.random())
-    trace = pi_trace(pm, 3)
+    trace = extension_trace(pm, 2)
     for prev, cur in zip(trace[1:], trace[2:]):
         for a in range(1, n):
             assert cur.gamma(a) >= min(2 * prev.gamma(a), (n - 1) // a)
@@ -105,8 +105,27 @@ def test_rectangle_seed_extends_to_full():
     for n in (27, 64):
         a_star, pm = choose_seed(n, 3)
         assert check_extension_hypothesis(pm, 3, a_star)
-        final = pi_extend(pm, k=3)
-        assert final.is_full()
+        assert extension_trace(pm, 3)[-1].is_full()
+
+
+@pytest.mark.parametrize("pm, k, fixed", [
+    (choose_seed(64, 3)[1], 3, True),               # repeats at round 3 of 6
+    (seed_multiplication(100, 2, 2), 3, True),      # repeats at the cap
+    (seed_multiplication(200, 2, 2), 3, False),     # still growing at 6
+    (seed_multiplication(150, 2, 2), 2, False),     # still growing at 4
+])
+def test_extension_trace_stops_at_first_repeat(pm, k, fixed):
+    trace = extension_trace(pm, k)
+    rounds = len(trace) - 1
+    assert rounds <= default_rounds(k)
+    assert all(a.mult != b.mult for a, b in zip(trace, trace[1:-1]))
+    assert (trace[-1].mult == trace[-2].mult) == fixed
+    if not fixed:
+        assert rounds == default_rounds(k)
+    m = pm
+    for _ in range(rounds):
+        m = mu_step(m)
+    assert trace[-1] == m
 
 
 def test_nu_from_set_square_gaps():
@@ -119,8 +138,9 @@ def test_nu_from_set_square_gaps():
 
 def test_synthesize_multiplication_from_squares():
     res = synthesize_multiplication(sets.squares(), 100, Fraction(1, 3))
-    assert res.ok and res.k == 4 and res.final.is_full()
+    assert res.ok and res.k == 4 and res.trace[-1].is_full()
     assert res.t is not None and res.rounds == default_rounds(res.k)
+    assert res.trace == extension_trace(res.trace[0], res.k)
 
 
 def test_synthesize_needs_wide_enough_scale():

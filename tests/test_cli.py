@@ -1,5 +1,7 @@
 import pytest
 
+from fmlab import arithx
+from fmlab.arithx import mu_step
 from fmlab.cli import main
 from fmlab.model import parse_model
 
@@ -143,6 +145,51 @@ def test_pipeline(capsys):
                  "--eps", "1/3"]) == 0
     out = capsys.readouterr().out
     assert "k=4" in out and "full multiplication reached" in out
+
+
+def _rows(out):
+    """The table rows of an extension trace: lines led by a number."""
+    return [r for r in map(str.split, out.splitlines()) if r and r[0].isdigit()]
+
+
+def test_pipeline_extends_once(monkeypatch, capsys):
+    calls = []
+
+    def counted(pm):
+        calls.append(pm)
+        return mu_step(pm)
+
+    monkeypatch.setattr(arithx, "mu_step", counted)
+    assert main(["pipeline", "--set", "sq", "--n", "100",
+                 "--eps", "1/3"]) == 0
+    assert len(calls) <= arithx.default_rounds(4)
+    rows = _rows(capsys.readouterr().out)
+    assert len(rows) == len(calls) + 1
+    assert rows[-1][1] == "672"
+
+
+def test_trace_reports_fixed_point(capsys):
+    assert main(["mulext", "--n", "64"]) == 0
+    out = capsys.readouterr().out
+    assert "fixed point at round 3" in out.splitlines()
+    rows = _rows(out)
+    assert [r[0] for r in rows] == ["0", "1", "2", "3"]
+    assert rows[-1][1] == rows[-2][1] == "400"
+
+
+@pytest.mark.parametrize("argv", [
+    ["parse", "--formula", "!" * 5000 + "x=x"],
+    ["analyze-set", "--set", "compl:" * 3000 + "sq", "--n", "10"],
+])
+def test_deep_input_is_usage_error(argv, capsys):
+    assert main(argv) == 2
+    assert "error:" in capsys.readouterr().err
+
+
+def test_analyze_set_small_eps(capsys):
+    assert main(["analyze-set", "--set", "sq", "--n", "200",
+                 "--eps", "1/200"]) == 0
+    assert "eps=1/200" in capsys.readouterr().out
 
 
 def test_missing_model_file(capsys):

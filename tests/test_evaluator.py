@@ -79,6 +79,12 @@ def test_mso_cap_and_budget():
                  parse("E x. E y. E z. (x <= y & y <= z)"), {}, budget=3)
 
 
+def test_bound_set_variable_without_vocabulary():
+    m = BrModel(3, {}, {})
+    for vocab in (None, {}):
+        assert evaluate(m, parse("EX X. E x. X(x)", vocab), {})
+
+
 def test_unassigned_free_variable_is_an_error():
     m = BrModel(3, {}, {})
     with pytest.raises(ValueError):

@@ -185,6 +185,21 @@ def test_spec_round_trip():
         assert s2.elements_below(50) == s.elements_below(50)
 
 
+def test_floor_nth_root_is_exact_beyond_floats():
+    assert sets.floor_nth_root(10 ** 399, 3) == 10 ** 133
+    for x in (10 ** 400, 10 ** 400 - 1, 2 ** 3000 + 1):
+        for q in (2, 3, 7):
+            m = sets.floor_nth_root(x, q)
+            assert m ** q <= x < (m + 1) ** q
+
+
+def test_nested_spec_depth_capped():
+    spec = "compl:" * sets.SPEC_DEPTH + "sq"
+    assert parse_set_spec(spec).contains(4)
+    with pytest.raises(ValueError):
+        parse_set_spec("compl:" + spec)
+
+
 def test_floor_power_range():
     s = parse_set_spec("floorpow:3/2")
     # floor(x^1.5) for x = 0..5: 0,1,2,5,8,11

@@ -2,11 +2,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fmlab.randform import random_formula
-from fmlab.syntax import (And, Atom, BuiltinAtom, Count, Eq, Exists, Forall,
-                          Iff, Imp, Interner, Not, Or, ParseError, QApp,
-                          SetAtom, SetExists, conj, disj, free_set_variables,
-                          free_variables, parse, pretty, quantifier_rank,
-                          subformulas)
+from fmlab.syntax import (MAX_DEPTH, And, Atom, BuiltinAtom, Count, Eq,
+                          Exists, Forall, Iff, Imp, Interner, Not, Or,
+                          ParseError, QApp, SetAtom, SetExists, SetForall,
+                          conj, disj, free_set_variables, free_variables,
+                          parse, pretty, quantifier_rank, subformulas)
 
 V = {"P": 1, "R": 2, "S": 3}
 QS = {"I": [1, 1], "Maj": [1], "Q3": [1, 2]}
@@ -83,6 +83,22 @@ def test_set_variables():
     open_phi = parse("X(y)", V)
     assert open_phi == SetAtom("X", "y")
     assert free_set_variables(open_phi) == {"X"}
+
+
+def test_bound_set_variables_need_no_vocabulary():
+    assert parse("EX X. X(y)") == SetExists("X", SetAtom("X", "y"))
+    assert parse("(AX X. X(y)) & X(y)") == And(
+        SetForall("X", SetAtom("X", "y")), Atom("X", ("y",)))
+    with pytest.raises(ParseError):
+        parse("EX X. X(x, y)")
+
+
+def test_nesting_depth_capped():
+    assert parse("!" * (MAX_DEPTH - 1) + "x = x") is not None
+    for text in ("!" * 5000 + "x = x", "(" * 5000 + "x = x" + ")" * 5000,
+                 "E x. " * 5000 + "x = x"):
+        with pytest.raises(ParseError):
+            parse(text)
 
 
 def test_vocab_errors():
