@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 for success (and for claims that hold), 1 for claims that
-fail, 2 for usage errors (bad flags, malformed files or formulas).
+fail, 2 for usage errors (bad flags, malformed files or formulas) and
+for evaluations that run out of their step budget or set-size cap.
 """
 
 from __future__ import annotations
@@ -12,7 +13,8 @@ import sys
 from fractions import Fraction
 
 from . import arithx, quantifiers as quantmod, sets as setsmod, suites
-from .evaluator import ef_equivalent, evaluate
+from .evaluator import (DEFAULT_BUDGET, BudgetExceeded, ef_equivalent,
+                        evaluate)
 from .model import (PartialArithModel, builtin_registry, format_model,
                     full_multiplication, parse_model, powerset_structure,
                     word_model)
@@ -241,8 +243,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True)
     p.add_argument("--formula", required=True)
     p.add_argument("--assign", default="", help="k=v,... for free variables")
-    p.add_argument("--budget", type=int, default=None,
-                   help="cap on evaluation steps")
+    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
+                   help=f"cap on evaluation steps (default {DEFAULT_BUDGET})")
     p.set_defaults(run=_cmd_eval)
 
     p = sub.add_parser("ef", help="round-limited equivalence of two models")
@@ -318,7 +320,8 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.run(args)
-    except (UsageError, ParseError, ValueError, OSError) as exc:
+    except (UsageError, ParseError, ValueError, OSError,
+            BudgetExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

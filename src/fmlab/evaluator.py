@@ -6,9 +6,10 @@ Three engines with one semantics:
   values of its free variables); the workhorse.
 * `evaluate_naive` — the same top-down clauses with the memo off; a check
   on the memo keys.
-* `TruthTables` / `evaluate_fast` — bottom-up tables packed into Python
-  big ints, one bit per assignment; the fast path for exhaustive sweeps,
-  and the independent second route.
+* `TruthTables` / `evaluate_fast` — bottom-up tables as numpy bool
+  arrays with one axis per free variable; the fast path for exhaustive
+  sweeps, and the independent second route.  A table of more than
+  `TABLE_CAP` cells is refused before it is built.
 
 Both engines run on `syntax.Interner` nodes, which carry each
 subformula's free variables.
@@ -18,6 +19,7 @@ Plus `ef_equivalent`, the r-round back-and-forth game.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from typing import Optional
 
@@ -31,6 +33,9 @@ from .syntax import (And, Atom, BuiltinAtom, Count, Eq, Exists, Forall,
 
 MSO_CAP = 16
 DEFAULT_BUDGET = 50_000_000
+# cells of one truth table; the largest in use is 8**9, in the extension
+# formula (`arithx.mu_formula`) at n=8
+TABLE_CAP = 2 ** 27
 
 
 class BudgetExceeded(RuntimeError):
@@ -170,55 +175,39 @@ def evaluate_naive(m: BrModel, phi: Formula, assignment: Optional[dict] = None,
 
 
 # ---------------------------------------------------------------------------
-# bottom-up bitmask tables
+# bottom-up truth tables
 
 
-def _unpack(table: int, total: int) -> np.ndarray:
-    """Big int -> bool array of `total` bits, bit 0 first."""
-    raw = np.frombuffer(table.to_bytes((total + 7) // 8, "little"),
-                        dtype=np.uint8)
-    return np.unpackbits(raw, bitorder="little")[:total]
+def _check_cells(n: int, k: int):
+    """Refuse a table of n**k cells beyond TABLE_CAP, before building it."""
+    if n ** k > TABLE_CAP:
+        raise BudgetExceeded(f"a table over {k} variables at n={n} has "
+                             f"{n ** k} cells; cap is {TABLE_CAP}")
 
 
-def _bits_to_int(bits: np.ndarray) -> int:
-    packed = np.packbits(bits.astype(np.uint8).ravel(), bitorder="little")
-    return int.from_bytes(packed.tobytes(), "little")
-
-
-def _insert_axis(table: int, n: int, low: int, total: int) -> int:
-    """Duplicate the `total`-bit table n times along a fresh variable axis
-    of stride `low`."""
-    bits = _unpack(table, total).reshape(-1, low)
-    return _bits_to_int(np.repeat(bits[:, None, :], n, axis=1))
-
-
-def _collapse_axis(table: int, n: int, low: int, mode: str,
-                   total: int) -> int:
-    """OR (`mode='any'`) or AND (`'all'`) the n slices along the axis of
-    stride `low` of a `total`-bit table."""
-    bits = _unpack(table, total).reshape(-1, n, low)
-    red = bits.any(axis=1) if mode == "any" else bits.all(axis=1)
-    return _bits_to_int(red)
-
-
-def _count_axis(table: int, n: int, low: int, total: int) -> np.ndarray:
-    """Witness counts along the given axis; the result is indexed like
-    the collapsed table."""
-    bits = _unpack(table, total).reshape(-1, n, low)
-    return bits.sum(axis=1, dtype=np.int64).ravel()
+def _align(table: tuple, target: tuple) -> np.ndarray:
+    """View a table (vars, array) over the variables `target`, a superset
+    of vars in any order: axes transposed into target order, and a
+    length-1 axis, which broadcasts, for each variable the table lacks."""
+    vs, arr = table
+    arr = np.transpose(arr, [vs.index(v) for v in target if v in vs])
+    return np.expand_dims(arr, tuple(i for i, v in enumerate(target)
+                                     if v not in vs))
 
 
 class TruthTables:
-    """Bottom-up evaluation: for each subformula a pair (vars, bits) where
-    vars is the sorted tuple of free first-order variables and bit number
-    sum(a(vars[i]) * n**i) records the truth value under assignment a.
-    Tables are memoized per interned node, and each instance has its own
-    interner, so a reused instance never mistakes one formula for another."""
+    """Bottom-up evaluation: for each subformula a pair (vars, array) where
+    vars is the sorted tuple of free first-order variables and the bool
+    array has one axis of length n per variable, axis i for vars[i]; a
+    sentence's array is 0-d.  Tables are memoized per interned node, and
+    each instance has its own interner, so a reused instance never
+    mistakes one formula for another."""
 
     def __init__(self, m: BrModel, builtins=None, quantifiers=None,
                  mso_cap: int = MSO_CAP):
         self.m = m
         self.n = m.n
+        self.fvals = np.asarray(m.f, dtype=np.int64)
         self.builtins = (builtins if builtins is not None
                          else modelmod.builtin_registry())
         self.quantifiers = (quantifiers if quantifiers is not None
@@ -227,10 +216,6 @@ class TruthTables:
         self.memo: dict = {}
         self.interner = Interner(self.quantifiers)
         self.nodes = self.interner.nodes
-        self.full1 = (1 << self.n) - 1
-
-    def full(self, k: int) -> int:
-        return (1 << self.n ** k) - 1
 
     def table(self, phi: Formula, set_assignment=None) -> tuple:
         sa = {k: frozenset(v) for k, v in (set_assignment or {}).items()}
@@ -242,203 +227,127 @@ class TruthTables:
         hit = self.memo.get(key)
         if hit is not None:
             return hit
-        out = self._build(node, sa)
+        _check_cells(self.n, len(node.free))
+        out = node.free, self._build(node, sa)
         self.memo[key] = out
         return out
 
-    def _expand(self, have, bits, target_vs):
-        n = self.n
-        size = n ** len(have)
-        for i, v in enumerate(target_vs):
-            if v not in have:
-                bits = _insert_axis(bits, n, n ** i, size)
-                size *= n
-        return bits
+    def _counts(self, table: tuple, var) -> tuple:
+        """Witnesses for `var` at each assignment of the table's other
+        variables: (those variables, int array)."""
+        vs, arr = table
+        if var not in vs:
+            return vs, arr.astype(np.int64) * self.n
+        return (tuple(v for v in vs if v != var),
+                arr.sum(axis=vs.index(var), dtype=np.int64))
 
-    def _expand_counts(self, arr, have, target_vs):
-        """Counterpart of _expand for integer count arrays."""
-        n = self.n
-        for i, v in enumerate(target_vs):
-            if v not in have:
-                arr = np.repeat(arr.reshape(-1, 1, n ** i), n, axis=1).ravel()
+    def _atom(self, vs, args, tuples) -> np.ndarray:
+        """Set the listed tuples, keeping only those that agree on
+        repeated argument variables."""
+        rows = np.array(list(tuples), dtype=np.intp).reshape(-1, len(args))
+        cols = [args.index(v) for v in args]
+        rows = rows[(rows == rows[:, cols]).all(axis=1)]
+        arr = np.zeros((self.n,) * len(vs), dtype=bool)
+        arr[tuple(rows[:, args.index(v)] for v in vs)] = True
         return arr
 
-    def _atom_bits(self, vs, args, holds_tuples) -> tuple:
-        """Sparse build over the sorted distinct arguments `vs`: set bits
-        for listed tuples, honoring repeated argument variables."""
-        pos = {v: i for i, v in enumerate(vs)}
-        n = self.n
-        bits = 0
-        for t in holds_tuples:
-            vals = {}
-            ok = True
-            for v, x in zip(args, t):
-                if vals.setdefault(v, x) != x:
-                    ok = False
-                    break
-            if ok:
-                bits |= 1 << sum(vals[v] * n ** pos[v] for v in vs)
-        return vs, bits
-
-    def _builtin_bits(self, phi: BuiltinAtom, vs) -> tuple:
-        n = self.n
+    def _builtin(self, phi: BuiltinAtom, vs) -> np.ndarray:
         rel = self.builtins[phi.name]
-        k = len(vs)
-        fvals = np.asarray(self.m.f, dtype=np.int64)
-        # arrays indexed [v_{k-1}, ..., v_0]; C-ravel puts v_0 on stride 1
         grids = []
         for v in phi.args:
-            axis = k - 1 - vs.index(v)
-            shape = [1] * k
-            shape[axis] = n
-            grids.append(fvals.reshape(shape))
+            shape = [1] * len(vs)
+            shape[vs.index(v)] = self.n
+            grids.append(self.fvals.reshape(shape))
         name = phi.name
         if name == "le":
-            arr = grids[0] <= grids[1]
-        elif name == "lt":
-            arr = grids[0] < grids[1]
-        elif name == "plus":
-            arr = grids[0] + grids[1] == grids[2]
-        elif name == "times":
-            arr = grids[0] * grids[1] == grids[2]
-        elif rel.arity == 1:
-            arr = np.vectorize(rel.holds, otypes=[bool])(grids[0])
-        else:
-            arr = np.vectorize(rel.holds, otypes=[bool])(*grids)
-        arr = np.broadcast_to(arr, (n,) * k)
-        return vs, _bits_to_int(arr)
+            return grids[0] <= grids[1]
+        if name == "lt":
+            return grids[0] < grids[1]
+        if name == "plus":
+            return grids[0] + grids[1] == grids[2]
+        if name == "times":
+            return grids[0] * grids[1] == grids[2]
+        return np.vectorize(rel.holds, otypes=[bool])(*grids)
 
-    def _build(self, node, sa) -> tuple:
+    def _build(self, node, sa) -> np.ndarray:
         n = self.n
-        phi, kids = node.phi, node.kids
+        phi, kids, vs = node.phi, node.kids, node.free
         if isinstance(phi, Atom):
-            return self._atom_bits(node.free, phi.args, self.m.rels[phi.name])
+            return self._atom(vs, phi.args, self.m.rels[phi.name])
         if isinstance(phi, BuiltinAtom):
-            return self._builtin_bits(phi, node.free)
+            return self._builtin(phi, vs)
         if isinstance(phi, Eq):
-            if phi.left == phi.right:
-                return (phi.left,), self.full1
-            return self._atom_bits(node.free, (phi.left, phi.right),
-                                   ((e, e) for e in range(n)))
+            return np.eye(n, dtype=bool) if len(vs) == 2 else np.ones(n, bool)
         if isinstance(phi, SetAtom):
-            s = sa[phi.setvar]
-            return (phi.arg,), sum(1 << e for e in s)
+            arr = np.zeros(n, dtype=bool)
+            arr[list(sa[phi.setvar])] = True
+            return arr
         if isinstance(phi, Not):
-            vs, b = self._table(kids[0], sa)
-            return vs, b ^ self.full(len(vs))
+            return ~self._table(kids[0], sa)[1]
         if isinstance(phi, (And, Or, Imp, Iff)):
-            vs = node.free
-            b1 = self._expand(*self._table(kids[0], sa), vs)
-            b2 = self._expand(*self._table(kids[1], sa), vs)
-            full = self.full(len(vs))
+            a = _align(self._table(kids[0], sa), vs)
+            b = _align(self._table(kids[1], sa), vs)
             if isinstance(phi, And):
-                return vs, b1 & b2
+                return a & b
             if isinstance(phi, Or):
-                return vs, b1 | b2
+                return a | b
             if isinstance(phi, Imp):
-                return vs, (b1 ^ full) | b2
-            return vs, (b1 ^ b2) ^ full
+                return ~a | b
+            return a == b
         if isinstance(phi, (Exists, Forall)):
-            vs, b = self._table(kids[0], sa)
-            if phi.var not in vs:
-                return vs, b  # vacuous: the domain is nonempty
-            i = vs.index(phi.var)
-            mode = "any" if isinstance(phi, Exists) else "all"
-            return node.free, _collapse_axis(b, n, n ** i, mode, n ** len(vs))
+            svs, arr = self._table(kids[0], sa)
+            if phi.var not in svs:
+                return arr  # vacuous: the domain is nonempty
+            reduce = np.any if isinstance(phi, Exists) else np.all
+            return reduce(arr, axis=svs.index(phi.var))
         if isinstance(phi, Count):
-            vs, b = self._table(kids[0], sa)
-            if phi.var in vs:
-                i = vs.index(phi.var)
-                counts = _count_axis(b, n, n ** i, n ** len(vs))
-                rest = tuple(v for v in vs if v != phi.var)
-            else:
-                rest = vs
-                counts = _unpack(b, n ** len(vs)).astype(np.int64) * n
-            f = self.m.f
-            out_vs = node.free
-            rest_pos = [out_vs.index(v) for v in rest]
-            tpos = out_vs.index(phi.target)
-            out = 0
-            for assign in itertools.product(range(n), repeat=len(rest)):
-                idx_sub = sum(a * n ** j for j, a in enumerate(assign))
-                cnt = int(counts[idx_sub])
-                if phi.target in rest:
-                    e = assign[rest.index(phi.target)]
-                    if f[e] == cnt:
-                        out |= 1 << sum(a * n ** p
-                                        for a, p in zip(assign, rest_pos))
-                else:
-                    base = sum(a * n ** p for a, p in zip(assign, rest_pos))
-                    for e in range(n):
-                        if f[e] == cnt:
-                            out |= 1 << (base + e * n ** tpos)
-            return out_vs, out
+            counts = self._counts(self._table(kids[0], sa), phi.var)
+            f = self.fvals.reshape([n if v == phi.target else 1 for v in vs])
+            return _align(counts, vs) == f
         if isinstance(phi, QApp):
             q = self.quantifiers[phi.qname]
-            outer = node.free
             if q.sizes_decide is not None:
                 # unary slots (the interner checked the arities) with a
                 # cardinality-only verdict: count witnesses along each
                 # bound axis and decide once per distinct size combination
-                counts = []
-                for ((vb,), _), k in zip(phi.slots, kids):
-                    svs, sb = self._table(k, sa)
-                    if vb in svs:
-                        i = svs.index(vb)
-                        arr = _count_axis(sb, n, n ** i, n ** len(svs))
-                        have = tuple(v for v in svs if v != vb)
-                    else:
-                        arr = _unpack(sb, n ** len(svs)).astype(np.int64) * n
-                        have = svs
-                    counts.append(self._expand_counts(arr, have, outer))
-                radix = n + 1
-                key = np.zeros_like(counts[0])
-                for c in counts:
-                    key = key * radix + c
+                counts = np.broadcast_arrays(*(
+                    _align(self._counts(self._table(k, sa), vb), vs)
+                    for ((vb,), _), k in zip(phi.slots, kids)))
+                dims = (n + 1,) * len(counts)
+                key = np.ravel_multi_index(counts, dims)
                 uniq, inv = np.unique(key, return_inverse=True)
-
-                def decode(v):
-                    sizes = []
-                    for _ in counts:
-                        sizes.append(int(v % radix))
-                        v //= radix
-                    return tuple(reversed(sizes))
-
-                verdict = np.fromiter(
-                    (bool(q.sizes_decide(n, decode(int(v)))) for v in uniq),
-                    dtype=bool, count=len(uniq))
-                return outer, _bits_to_int(verdict[inv.ravel()])
-            slot_data = []
-            for (vs_bound, _), k in zip(phi.slots, kids):
-                svs, sb = self._table(k, sa)
-                slot_data.append((vs_bound, svs, sb))
-            out = 0
-            for assign in itertools.product(range(n), repeat=len(outer)):
-                env = dict(zip(outer, assign))
-                rels = []
-                for vs_bound, svs, sb in slot_data:
-                    rel = set()
-                    for t in itertools.product(range(n), repeat=len(vs_bound)):
-                        local = {**env, **dict(zip(vs_bound, t))}
-                        idx = sum(local[v] * n ** i for i, v in enumerate(svs))
-                        if (sb >> idx) & 1:
-                            rel.add(t)
-                    rels.append(frozenset(rel))
-                if q.decide(n, rels, self.m.f):
-                    out |= 1 << sum(a * n ** i for i, a in enumerate(assign))
-            return outer, out
+                digits = np.unravel_index(uniq, dims)
+                sizes = zip(*(d.tolist() for d in digits))
+                verdict = np.array([bool(q.sizes_decide(n, s)) for s in sizes],
+                                   dtype=bool)
+                return verdict[inv].reshape(key.shape)
+            # one decision per outer assignment; each slot's relation is the
+            # set of true cells in its table's slice at that assignment
+            slots = []
+            for (vb, _), k in zip(phi.slots, kids):
+                keep = tuple(v for v in vs if v not in vb)
+                axes = keep + vb
+                _check_cells(n, len(axes))
+                arr = _align(self._table(k, sa), axes)
+                slots.append(([vs.index(v) for v in keep],
+                              np.broadcast_to(arr, (n,) * len(axes))))
+            out = np.zeros((n,) * len(vs), dtype=bool)
+            for assign in np.ndindex(out.shape):
+                rels = [frozenset(map(tuple, np.argwhere(
+                            arr[tuple(assign[p] for p in pos)]).tolist()))
+                        for pos, arr in slots]
+                out[assign] = q.decide(n, rels, self.m.f)
+            return out
         if isinstance(phi, (SetExists, SetForall)):
             if n > self.mso_cap:
                 raise BudgetExceeded(f"set quantification cap is 2^{self.mso_cap}")
-            acc = None
-            for mask in range(1 << n):
-                s = frozenset(e for e in range(n) if mask >> e & 1)
-                _, sb = self._table(kids[0], {**sa, phi.setvar: s})
-                if acc is None:
-                    acc = sb
-                else:
-                    acc = acc | sb if isinstance(phi, SetExists) else acc & sb
-            return node.free, acc
+            subsets = (frozenset(s) for r in range(n + 1)
+                       for s in itertools.combinations(range(n), r))
+            tables = (self._table(kids[0], {**sa, phi.setvar: s})[1]
+                      for s in subsets)
+            either = isinstance(phi, SetExists)
+            return functools.reduce(
+                np.logical_or if either else np.logical_and, tables)
         raise TypeError(f"not a formula: {phi!r}")
 
 
@@ -452,9 +361,8 @@ def evaluate_fast(m: BrModel, phi: Formula, assignment=None, *,
     tt = TruthTables(m, builtins, quantifiers, mso_cap)
     root = tt.interner.intern(phi)
     _check_closed(tt.nodes[root], assignment, sa)
-    vs, bits = tt._table(root, sa)
-    idx = sum(assignment[v] * m.n ** i for i, v in enumerate(vs))
-    return bool(bits >> idx & 1)
+    vs, arr = tt._table(root, sa)
+    return bool(arr[tuple(assignment[v] for v in vs)])
 
 
 def define_relation(m: BrModel, phi: Formula, var_order, *, builtins=None,
@@ -466,20 +374,12 @@ def define_relation(m: BrModel, phi: Formula, var_order, *, builtins=None,
     root = tt.interner.intern(phi)
     if not set(tt.nodes[root].free) <= set(var_order):
         raise ValueError("var_order must cover the free variables")
-    vs, bits = tt._table(root, {})
-    n = m.n
-    unused = [v for v in var_order if v not in vs]
-    out = set()
-    for idx in np.nonzero(_unpack(bits, n ** len(vs)))[0]:
-        env = {}
-        rest = int(idx)
-        for v in vs:
-            env[v] = rest % n
-            rest //= n
-        for vals in itertools.product(range(n), repeat=len(unused)):
-            env.update(zip(unused, vals))
-            out.add(tuple(env[v] for v in var_order))
-    return frozenset(out)
+    if len(set(var_order)) != len(var_order):
+        raise ValueError("var_order repeats a variable")
+    _check_cells(m.n, len(var_order))
+    arr = _align(tt._table(root, {}), var_order)
+    arr = np.broadcast_to(arr, (m.n,) * len(var_order))
+    return frozenset(map(tuple, np.argwhere(arr).tolist()))
 
 
 # ---------------------------------------------------------------------------

@@ -541,14 +541,16 @@ class Parser:
                 self.next()
                 args.append(self.fo_var())
             self.expect(")")
-            if self.vocab is not None and name in self.vocab:
+            # a set variable bound by an enclosing EX/AX shadows a
+            # relation of the same name
+            bound = name in self.set_scope
+            if self.vocab is not None and name in self.vocab and not bound:
                 if len(args) != self.vocab[name]:
                     raise ParseError(
                         f"{name} has arity {self.vocab[name]}, got {len(args)}",
                         self.pos())
                 return Atom(name, tuple(args))
-            if is_set_var(name) and (self.vocab is not None
-                                     or name in self.set_scope):
+            if bound or (is_set_var(name) and self.vocab is not None):
                 if len(args) != 1:
                     raise ParseError(f"set variable {name} applied to "
                                      f"{len(args)} arguments", self.pos())

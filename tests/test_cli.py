@@ -1,6 +1,6 @@
 import pytest
 
-from fmlab import arithx
+from fmlab import arithx, cli
 from fmlab.arithx import mu_step
 from fmlab.cli import main
 from fmlab.model import parse_model
@@ -32,6 +32,28 @@ def test_eval_false_exit_code(plain_model, capsys):
                  "--formula", "E z. @plus(x,z,y)", "--assign", "x=3,y=1"])
     assert code == 1
     assert capsys.readouterr().out.strip() == "false"
+
+
+@pytest.mark.parametrize("n, formula, budget", [
+    (8, "E x. E y. E z. (x <= y & y <= z)", ["--budget", "3"]),
+    (20, "EX X. E x. X(x)", []),
+])
+def test_exhausted_budget_is_usage_error(tmp_path, capsys, n, formula,
+                                         budget):
+    p = tmp_path / "m.txt"
+    p.write_text(f"model\nn {n}\nend\n")
+    assert main(["eval", "--model", str(p), "--formula", formula,
+                 *budget]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+def test_eval_budget_defaults_to_evaluator_budget(monkeypatch, plain_model,
+                                                  capsys):
+    monkeypatch.setattr(cli, "DEFAULT_BUDGET", 3)
+    assert main(["eval", "--model", plain_model, "--formula",
+                 "E x. E y. E z. (x <= y & y <= z)"]) == 2
+    assert "budget of 3" in capsys.readouterr().err
 
 
 def test_analyze_set(capsys):

@@ -1,5 +1,7 @@
+import itertools
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -85,6 +87,32 @@ def test_bound_set_variable_without_vocabulary():
         assert evaluate(m, parse("EX X. E x. X(x)", vocab), {})
 
 
+@pytest.mark.parametrize("engine", [evaluate, evaluate_naive, evaluate_fast])
+def test_bound_set_variable_shadows_relation(engine):
+    # inside EX U, U is the set variable; the empty set makes this true
+    m = BrModel(3, {"U": 1}, {"U": {(0,)}})
+    assert engine(m, parse("EX U. A x. !U(x)", {"U": 1}), {})
+
+
+def test_table_cap_refuses_before_building():
+    # each formula needs a table of 64**5 or 64**6 cells, far over the cap;
+    # every engine entry point must refuse it with nothing built
+    m = BrModel(64, VOCAB, {"U": set(), "R": set()})
+    quants = Q.builtin_quantifiers()
+    for text in ("R(x, y) & R(z, w) & R(u, v)",
+                 "Maj2(x, y: R(z, w) & U(v))"):
+        phi = parse(text, VOCAB, Q.registry_shapes(quants))
+        tt = TruthTables(m, quantifiers=quants)
+        with pytest.raises(BudgetExceeded):
+            tt.table(phi)
+        assert not tt.memo
+        with pytest.raises(BudgetExceeded):
+            evaluate_fast(m, phi, dict.fromkeys("xyzwuv", 0),
+                          quantifiers=quants)
+    with pytest.raises(BudgetExceeded):
+        define_relation(m, parse("x = y"), ("x", "y", "z", "w", "u", "v"))
+
+
 def test_unassigned_free_variable_is_an_error():
     m = BrModel(3, {}, {})
     with pytest.raises(ValueError):
@@ -104,6 +132,14 @@ FORMULAS = [
     "E x. (x + y = z | @times(x, y, z))",
     "(E x. U(x)) & (E x. U(x))",
     "E x. (U(x) & E x. R(x, x))",
+    "# x = y. U(z)",
+    "I(x: U(z); y: R(y, z))",
+    "Maj2(x, y: R(x, z) & y <= z)",
+    "@le(x, x) & x = x | R(y, y)",
+    "# x = z. R(y, x)",
+    "D(x: R(x, y); z: U(z))",
+    "R(x, y) <-> x = y",
+    "Maj2(x, y: R(x, z) | R(w, y))",
 ]
 
 
@@ -120,6 +156,19 @@ def test_three_engines_agree(n, which, rng):
     r2 = evaluate_naive(m, phi, a, quantifiers=quants)
     r3 = evaluate_fast(m, phi, a, quantifiers=quants)
     assert r1 == r2 == r3
+
+
+@pytest.mark.parametrize("text", FORMULAS)
+def test_tables_agree_at_every_assignment(text):
+    quants = Q.builtin_quantifiers()
+    phi = parse(text, VOCAB, Q.registry_shapes(quants))
+    rng = random.Random(text)
+    for n in (1, 2, 3, 4, 4):
+        m = fo_model(rng, n)
+        vs, bits = TruthTables(m, quantifiers=quants).table(phi)
+        for vals in itertools.product(range(n), repeat=len(vs)):
+            want = evaluate(m, phi, dict(zip(vs, vals)), quantifiers=quants)
+            assert bool(bits[vals]) == want
 
 
 @given(st.integers(1, 4), st.randoms(use_true_random=False))
@@ -143,7 +192,7 @@ def test_truth_tables_match_pointwise():
         for x in range(n):
             for y in range(n):
                 want = evaluate_naive(m, phi, {"x": x, "y": y})
-                assert bool(bits >> (x + n * y) & 1) == want
+                assert bool(bits[x, y]) == want
 
 
 def test_reused_truth_tables_never_alias():
@@ -154,8 +203,9 @@ def test_reused_truth_tables_never_alias():
     tt = TruthTables(m)
     for _ in range(200):
         for text in texts:
-            assert tt.table(parse(text, VOCAB)) == \
-                TruthTables(m).table(parse(text, VOCAB))
+            vs, bits = tt.table(parse(text, VOCAB))
+            fresh_vs, fresh_bits = TruthTables(m).table(parse(text, VOCAB))
+            assert vs == fresh_vs and np.array_equal(bits, fresh_bits)
 
 
 @pytest.mark.parametrize("engine", [evaluate, evaluate_naive, evaluate_fast])
@@ -176,6 +226,21 @@ def test_define_relation():
                            if x + y < 5)
     with pytest.raises(ValueError):
         define_relation(m, parse("x <= y"), ("x",))
+    with pytest.raises(ValueError):
+        define_relation(m, parse("x <= y"), ("x", "y", "y"))
+
+
+def test_define_relation_permuted_order():
+    # positions follow var_order, not the sorted free variables, and the
+    # position of w, which is not free, ranges over the whole domain
+    rng = random.Random(5)
+    for n in (1, 3, 4):
+        m = fo_model(rng, n)
+        phi = parse("R(x, z)", VOCAB)
+        want = frozenset((z, w, x) for z in range(n) for w in range(n)
+                         for x in range(n)
+                         if evaluate_naive(m, phi, {"x": x, "z": z}))
+        assert define_relation(m, phi, ("z", "w", "x")) == want
 
 
 def test_sentence_defined_quantifier():

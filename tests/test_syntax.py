@@ -93,6 +93,16 @@ def test_bound_set_variables_need_no_vocabulary():
         parse("EX X. X(x, y)")
 
 
+def test_bound_set_variable_shadows_relation():
+    vocab = {"U": 1}
+    assert parse("EX U. A x. !U(x)", vocab) == SetExists(
+        "U", Forall("x", Not(SetAtom("U", "x"))))
+    assert parse("(EX U. U(x)) & U(x)", vocab) == And(
+        SetExists("U", SetAtom("U", "x")), Atom("U", ("x",)))
+    with pytest.raises(ParseError):
+        parse("AX U. U(x, y)", {"U": 2})
+
+
 def test_nesting_depth_capped():
     assert parse("!" * (MAX_DEPTH - 1) + "x = x") is not None
     for text in ("!" * 5000 + "x = x", "(" * 5000 + "x = x" + ")" * 5000,
