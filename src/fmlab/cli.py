@@ -1,8 +1,9 @@
 """Command-line front end.
 
 Exit codes: 0 for success (and for claims that hold), 1 for claims that
-fail, 2 for usage errors (bad flags, malformed files or formulas) and
-for evaluations that run out of their step budget or set-size cap.
+fail, 2 for usage errors (bad flags, malformed files or formulas), for
+evaluations that run out of their step budget or set-size cap and for set
+enumerations that pass their horizon.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from .evaluator import (DEFAULT_BUDGET, BudgetExceeded, ef_equivalent,
 from .model import (PartialArithModel, builtin_registry, format_model,
                     full_multiplication, parse_model, powerset_structure,
                     word_model)
+from .sets import HorizonExceeded
 from .syntax import ParseError, parse, pretty
 from .transforms import mso_translate, relativize_formula, substitute
 
@@ -321,7 +323,7 @@ def main(argv=None) -> int:
     try:
         return args.run(args)
     except (UsageError, ParseError, ValueError, OSError,
-            BudgetExceeded) as exc:
+            BudgetExceeded, HorizonExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -8,6 +8,7 @@ bounds like t >= n^(p/q) are decided by comparing t^q with n^p.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import isqrt
@@ -70,7 +71,10 @@ class NumericalSet:
     """A subset of the naturals given by a generator descriptor.
 
     `contains` is an exact decision procedure; `iter_elements` yields the
-    elements in increasing order (possibly forever).
+    elements in increasing order (possibly forever).  `elements_below` and
+    `next_above` share one enumeration: the set keeps the increasing prefix
+    pulled so far and the live generator behind it, so no element is
+    generated twice.
     """
 
     def __init__(self, spec: str, contains: Callable[[int], bool],
@@ -79,6 +83,9 @@ class NumericalSet:
         self._contains = contains
         self._iterate = iterate
         self.finite = finite
+        self._prefix: list[int] = []
+        self._rest: Optional[Iterator[int]] = iterate()  # None once exhausted
+        self._stuck: Optional[HorizonExceeded] = None  # how the generator died
 
     def __repr__(self) -> str:
         return f"NumericalSet({self.spec!r})"
@@ -93,15 +100,28 @@ class NumericalSet:
     def iter_elements(self) -> Iterator[int]:
         return self._iterate()
 
+    def _cover(self, v: int) -> list[int]:
+        """The enumerated prefix, pulled until it holds an element > v or the
+        generator ends.  At most STEP_HORIZON + 1 elements are ever pulled."""
+        prefix = self._prefix
+        while self._rest is not None and (not prefix or prefix[-1] <= v):
+            if self._stuck is not None:
+                raise self._stuck
+            if len(prefix) > STEP_HORIZON:
+                raise HorizonExceeded(
+                    f"more than {STEP_HORIZON} elements of {self.spec} up to {v}")
+            try:
+                prefix.append(next(self._rest))
+            except StopIteration:
+                self._rest = None
+            except HorizonExceeded as exc:
+                self._stuck = exc  # a generator that raised has ended
+                raise
+        return prefix
+
     def elements_below(self, bound: int) -> list[int]:
-        out = []
-        for steps, x in enumerate(self.iter_elements()):
-            if x >= bound:
-                break
-            if steps > STEP_HORIZON:
-                raise HorizonExceeded(f"more than {STEP_HORIZON} elements below {bound}")
-            out.append(x)
-        return out
+        prefix = self._cover(bound - 1)
+        return prefix[:bisect_left(prefix, bound)]
 
     def char_word(self, bound: int) -> list[int]:
         """Characteristic 0/1 word of the set on [0, bound)."""
@@ -112,25 +132,30 @@ class NumericalSet:
 
     def next_above(self, m: int):
         """Least element > m, or None when the set is finite and exhausted."""
-        steps = 0
-        for x in self.iter_elements():
-            steps += 1
-            if x > m:
-                if x > VALUE_HORIZON:
-                    raise HorizonExceeded(f"next element above {m} exceeds value horizon")
-                return x
-            if steps > STEP_HORIZON:
-                raise HorizonExceeded(f"no element above {m} within {STEP_HORIZON} steps")
+        prefix = self._cover(m)
+        i = bisect_right(prefix, m)
+        if i < len(prefix):
+            if prefix[i] > VALUE_HORIZON:
+                raise HorizonExceeded(f"next element above {m} exceeds value horizon")
+            return prefix[i]
         if self.finite:
             return None
         raise HorizonExceeded(f"generator {self.spec} exhausted unexpectedly")
 
 
 def _scan_iterator(contains: Callable[[int], bool]) -> Callable[[], Iterator[int]]:
+    """Members in increasing order by testing every natural; a run of more
+    than STEP_HORIZON non-members raises HorizonExceeded (an empty set would
+    otherwise be scanned forever)."""
     def it() -> Iterator[int]:
+        last = -1
         for k in itertools.count():
             if contains(k):
+                last = k
                 yield k
+            elif k - last > STEP_HORIZON:
+                raise HorizonExceeded(
+                    f"no member in {STEP_HORIZON} consecutive naturals after {last}")
     return it
 
 
@@ -331,22 +356,27 @@ def delta(s: NumericalSet, m: int):
     return INFINITY if nxt is None else nxt - m
 
 
-def _elements_and_gaps(s: NumericalSet, n: int) -> tuple[list[int], list[int]]:
+def _elements_and_gaps(s: NumericalSet, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Elements of s below n together with each element's gap to its
-    successor, capped at n (only comparisons with t < n are ever made)."""
-    elems = s.elements_below(n)
-    if not elems:
-        return [], []
-    gaps = []
-    for a, b in zip(elems, elems[1:]):
-        gaps.append(min(b - a, n))
-    last = elems[-1]
+    successor, capped at n (only comparisons with t < n are ever made), as
+    int64 arrays."""
+    elems = np.array(s.elements_below(n), dtype=np.int64)
+    if not elems.size:
+        return elems, elems
+    last = int(elems[-1])
     try:
         nxt = s.next_above(last)
     except HorizonExceeded:
         nxt = None
-    gaps.append(n if nxt is None else min(nxt - last, n))
-    return elems, gaps
+    tail = n if nxt is None else min(nxt - last, n)
+    return elems, np.minimum(np.append(np.diff(elems), tail), n)
+
+
+def _chi(s: NumericalSet, bound: int) -> np.ndarray:
+    """Characteristic vector of s on [0, bound) as a bool array."""
+    chi = np.zeros(bound, dtype=bool)
+    chi[s.elements_below(bound)] = True
+    return chi
 
 
 def gamma_s(s: NumericalSet, n: int, t: int) -> int:
@@ -354,7 +384,7 @@ def gamma_s(s: NumericalSet, n: int, t: int) -> int:
     if n < 1 or t < 1:
         raise ValueError("need n, t >= 1")
     elems, gaps = _elements_and_gaps(s, n)
-    return sum(1 for m, g in zip(elems, gaps) if g >= t and m + t < n)
+    return int(np.count_nonzero((gaps >= t) & (elems + t < n)))
 
 
 def f_omega(s: NumericalSet, n: int) -> tuple[int, int]:
@@ -363,31 +393,51 @@ def f_omega(s: NumericalSet, n: int) -> tuple[int, int]:
     with the least such omega at that l.
 
     For period omega, the constraint pairs are (i, i+omega) with both ends in
-    the interval; a violation at i is harmless once a = l - omega exceeds
+    [0, n]; a violation at i is harmless once a = l - omega exceeds
     min(i, n - omega - i).  So the least workable l for a given omega is
-    omega + A(omega) with A(omega) = max over violations of that minimum + 1,
-    and f is the minimum of this over omega.
+    omega + A(omega) with A(omega) = max over violations of that minimum + 1
+    (0 without violations), and f is the minimum of this over omega.
+
+    chi[i] != chi[i+omega] is unchanged by complementing chi, so the scan
+    works on T, the sparser of s and its complement within [0, n].  Every
+    violation has one end t in T and the other, t + omega or t - omega,
+    outside it.  For each sign the pairs' value min(i, n - omega - i) falls
+    as t moves away from the t whose pair is centred on (n - omega)/2, so
+    A(omega) comes from four walks over the sorted T, outward from that t
+    in both directions; each stops at its first violation, or as soon as
+    its value can no longer beat the largest found for this omega (a
+    negative value means the pair leaves [0, n]).  No walk starts once
+    omega + A(omega) is known to reach the best l so far, and only
+    omega < f can improve f, so the scan stops there.
     """
     if n < 1:
         raise ValueError("need n >= 1")
-    chi = np.zeros(n + 1, dtype=bool)
-    for m in s.elements_below(n + 1):
-        chi[m] = True
-    best = None
-    best_omega = None
+    member = _chi(s, n + 1)
+    if 2 * np.count_nonzero(member) > n + 1:
+        member = ~member
+    tset = np.flatnonzero(member).tolist()
+    in_t = member.tobytes()
+    best, best_omega = n + 2, None  # omega = 1 always gives less than n + 2
     for omega in range(1, n + 2):
-        if best is not None and omega >= best:
+        if omega >= best:
             break
-        diff = chi[: n + 1 - omega] != chi[omega:]
-        idx = np.nonzero(diff)[0]
-        if idx.size:
-            a = int(np.minimum(idx, (n - omega) - idx).max()) + 1
-        else:
-            a = 0
-        total = omega + a
-        if best is None or total < best:
-            best = total
-            best_omega = omega
+        a = 0
+        for step in (omega, -omega):
+            centre = n - step  # twice the t of the centred pair (t, t + step)
+            mid = bisect_left(tset, (centre + 1) // 2)
+            for walk in (range(mid, len(tset)), range(mid - 1, -1, -1)):
+                if omega + a >= best:
+                    break  # A(omega) >= a already rules this omega out
+                for j in walk:
+                    t = tset[j]
+                    value = (n - omega - abs(2 * t - centre)) // 2
+                    if value < a:
+                        break
+                    if not in_t[t + step]:
+                        a = value + 1
+                        break
+        if omega + a < best:
+            best, best_omega = omega + a, omega
     return best, best_omega
 
 
@@ -416,16 +466,22 @@ def nonperiodicity_criterion(s: NumericalSet, k: int, l: int,
     return out
 
 
+def _occurrences(chi: np.ndarray, w: str, bound: int) -> np.ndarray:
+    """Positions m < bound where w occurs in the bool word chi, which must
+    reach bound + len(w) - 1: one AND of shifted windows per letter."""
+    hit = np.ones(bound, dtype=bool)
+    for i, c in enumerate(w):
+        window = chi[i:i + bound]
+        hit &= window if c == "1" else ~window
+    return np.flatnonzero(hit)
+
+
 def occurrence_set(s: NumericalSet, w: str, bound: int) -> NumericalSet:
     """Positions m < bound where the word w occurs in the characteristic
     sequence of s."""
     if not w or any(c not in "01" for c in w):
         raise ValueError("w must be a nonempty binary word")
-    chi = s.char_word(bound + len(w))
-    bits = [int(c) for c in w]
-    hits = [m for m in range(bound)
-            if all(chi[m + i] == b for i, b in enumerate(bits))]
-    return explicit(hits)
+    return explicit(_occurrences(_chi(s, bound + len(w)), w, bound).tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -450,23 +506,30 @@ def _t_range(n: int, epsilon: Fraction) -> tuple[int, int]:
     return lo, hi
 
 
-def _loose_scan(s: NumericalSet, n: int, epsilon: Fraction):
+def _loose_scan(elems: np.ndarray, gaps: np.ndarray, n: int,
+                epsilon: Fraction):
     """First t in [ceil(n^eps), floor(n^(1-eps))] with t*gamma(n,t) >= eps*n,
-    together with the gamma value; None if there is none."""
-    p, q = epsilon.numerator, epsilon.denominator
+    together with the gamma value; None if there is none.  elems and gaps
+    are as _elements_and_gaps returns them.
+
+    gamma(n,t) = #{m : cap_m >= t} with cap_m = min(gap_m, n-1-m), so with
+    the caps sorted downward, c_1 >= ... >= c_N and c_{N+1} = 0, gamma is k
+    on the run c_{k+1} < t <= c_k.  There t*k grows with t, so the run's
+    least workable t is max(c_{k+1} + 1, lo, ceil(need/k)), need =
+    ceil(p*n/q), when that is at most min(c_k, hi); a larger k is an
+    earlier run.  All values are at most n, so int64 is exact."""
     lo, hi = _t_range(n, epsilon)
-    if lo > hi:
+    if lo > hi or not elems.size:
         return None
-    elems, gaps = _elements_and_gaps(s, n)
-    if not elems:
+    p, q = epsilon.numerator, epsilon.denominator
+    need = -(-p * n // q)
+    caps = np.sort(np.minimum(gaps, n - 1 - elems))[::-1]
+    k = np.arange(1, caps.size + 1)
+    t = np.maximum(np.append(caps[1:], 0) + 1, np.maximum(lo, -(-need // k)))
+    ok = np.flatnonzero(t <= np.minimum(caps, hi))
+    if not ok.size:
         return None
-    ev = np.array(elems, dtype=np.int64)
-    gv = np.array(gaps, dtype=np.int64)
-    for t in range(lo, hi + 1):
-        gamma = int(np.count_nonzero((gv >= t) & (ev < n - t)))
-        if q * t * gamma >= p * n:
-            return t, gamma
-    return None
+    return int(t[ok[-1]]), int(k[ok[-1]])
 
 
 def loose_at(s: NumericalSet, n: int, epsilon: Fraction) -> LoosenessReport:
@@ -475,7 +538,7 @@ def loose_at(s: NumericalSet, n: int, epsilon: Fraction) -> LoosenessReport:
     lo, hi = _t_range(n, epsilon)
     if lo > hi:
         return LoosenessReport(n, epsilon, "neither", note="empty t-range")
-    hit = _loose_scan(s, n, epsilon)
+    hit = _loose_scan(*_elements_and_gaps(s, n), n, epsilon)
     if hit is None:
         return LoosenessReport(n, epsilon, "neither")
     t, gamma = hit
@@ -505,11 +568,13 @@ def pseudoloose_at(s: NumericalSet, n: int, epsilon: Fraction,
     if not 0 < epsilon < 1:
         raise ValueError("need 0 < epsilon < 1")
     p, q = epsilon.numerator, epsilon.denominator
+    chi = _chi(s, n + max(1, max_word_len))
     for w in candidate_words(max_word_len):
         if len(w) ** q > n ** (q - p):  # require |w| <= n^(1-eps)
             continue
-        t_set = occurrence_set(s, w, n)
-        hit = _loose_scan(t_set, n, epsilon)
+        hits = _occurrences(chi, w, n)
+        # as for the finite occurrence set, the last hit's gap is n
+        hit = _loose_scan(hits, np.append(np.diff(hits), n), n, epsilon)
         if hit is not None:
             t, gamma = hit
             return LoosenessReport(n, epsilon, "pseudoloose-at-n",

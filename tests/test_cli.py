@@ -1,6 +1,6 @@
 import pytest
 
-from fmlab import arithx, cli
+from fmlab import arithx, cli, sets
 from fmlab.arithx import mu_step
 from fmlab.cli import main
 from fmlab.model import parse_model
@@ -66,6 +66,16 @@ def test_analyze_set_with_eps(capsys):
                  "--eps", "1/10"]) == 0
     out = capsys.readouterr().out
     assert "loose-at-n" in out
+
+
+@pytest.mark.parametrize("spec, n", [("nat", 100), ("compl:nat", 10)])
+def test_set_horizon_is_usage_error(monkeypatch, capsys, spec, n):
+    # nat has more than 10 elements below 101; compl:nat is empty, so its
+    # scan meets a run of more than 10 non-members
+    monkeypatch.setattr(sets, "STEP_HORIZON", 10)
+    assert main(["analyze-set", "--set", spec, "--n", str(n),
+                 "--eps", "1/3"]) == 2
+    assert capsys.readouterr().err.startswith("error:")
 
 
 def test_parse_command(capsys):

@@ -1,4 +1,6 @@
+import itertools
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -75,6 +77,39 @@ def test_f_omega_against_definition(which, n):
     # omega is least at l = f
     for w in range(1, omega):
         assert not is_periodic_on(s, n, f, w)
+
+
+@st.composite
+def list_set_and_n(draw, complemented=st.booleans()):
+    """n <= 80 and a random list: set on [0, n+5], sparse or dense, possibly
+    under compl:."""
+    n = draw(st.integers(1, 80))
+    few = draw(st.sets(st.integers(0, n + 5), max_size=n // 4 + 1))
+    members = few if draw(st.booleans()) else set(range(n + 6)) - few
+    spec = "list:" + ",".join(map(str, sorted(members)))
+    if draw(complemented):
+        spec = "compl:" + spec
+    return parse_set_spec(spec), n
+
+
+def f_omega_brute(s, n):
+    # the least l with a period omega <= l, then the least such omega
+    for l in itertools.count(1):
+        for w in range(1, l + 1):
+            if is_periodic_on(s, n, l, w):
+                return l, w
+
+
+@given(list_set_and_n())
+def test_f_omega_is_least_by_brute_force(sn):
+    s, n = sn
+    assert f_omega(s, n) == f_omega_brute(s, n)
+
+
+@given(list_set_and_n(complemented=st.just(False)))
+def test_f_omega_complement_invariant(sn):
+    s, n = sn
+    assert f_omega(sets.complement(s), n) == f_omega(s, n)
 
 
 def test_nonperiodicity_criterion_examples():
@@ -158,6 +193,43 @@ small_eps = st.integers(2, 12).flatmap(
     lambda q: st.integers(1, q - 1).map(lambda p: Fraction(p, q)))
 
 
+def least_loose_t(s, n, eps):
+    # the first t of the t-range with q*t*gamma >= p*n, one gamma_s per t
+    lo, hi = sets._t_range(n, eps)
+    return next((t for t in range(lo, hi + 1)
+                 if eps.denominator * t * gamma_s(s, n, t)
+                 >= eps.numerator * n), None)
+
+
+@given(list_set_and_n(), small_eps)
+def test_loose_at_witness_is_least_t(sn, eps):
+    s, n = sn
+    t = least_loose_t(s, n, eps)
+    r = loose_at(s, n, eps)
+    if t is None:
+        assert (r.verdict, r.witness_t) == ("neither", None)
+    else:
+        assert (r.verdict, r.witness_t, r.gamma_value) == (
+            "loose-at-n", t, gamma_s(s, n, t))
+
+
+@given(list_set_and_n(), small_eps, st.integers(0, 4))
+def test_pseudoloose_at_witness_from_occurrence_sets(sn, eps, max_len):
+    s, n = sn
+    p, q = eps.numerator, eps.denominator
+    want = ("neither", None, None, None)
+    for w in sets.candidate_words(max_len):
+        if len(w) ** q > n ** (q - p):
+            continue
+        occ = occurrence_set(s, w, n)
+        t = least_loose_t(occ, n, eps)
+        if t is not None:
+            want = ("pseudoloose-at-n", w, t, gamma_s(occ, n, t))
+            break
+    r = pseudoloose_at(s, n, eps, max_word_len=max_len)
+    assert (r.verdict, r.witness_word, r.witness_t, r.gamma_value) == want
+
+
 @given(st.integers(0, 7), st.integers(10, 200), small_eps)
 @settings(max_examples=60)
 def test_loose_reports_revalidate(which, n, eps):
@@ -174,6 +246,40 @@ def test_membership_agrees_with_enumeration(which, bound):
     listed = s.elements_below(bound)
     assert listed == [k for k in range(bound) if s.contains(k)]
     assert listed == sorted(set(listed))
+
+
+def test_one_enumeration_per_set():
+    counts = {"generators": 0, "pulls": 0}
+
+    def iterate():
+        counts["generators"] += 1
+        for i in itertools.count():
+            counts["pulls"] += 1
+            yield i * i
+
+    s = sets.NumericalSet("counted:sq", lambda k: isqrt(k) ** 2 == k, iterate)
+    below = s.elements_below(1000)
+    assert below == [i * i for i in range(32)]
+    for m in below:
+        assert s.next_above(m) == (isqrt(m) + 1) ** 2
+    s.elements_below(500).clear()  # a copy, not the set's own prefix
+    assert s.elements_below(500) == below[:23]
+    assert counts["generators"] == 1
+    assert counts["pulls"] <= len(below) + 1
+
+
+def test_scan_stops_after_a_long_run_of_non_members(monkeypatch):
+    monkeypatch.setattr(sets, "STEP_HORIZON", 10)
+    # ten non-members before 10 is a run the horizon allows
+    assert parse_set_spec("compl:list:" + ",".join(map(str, range(10)))
+                          ).elements_below(12) == [10, 11]
+    for spec in ("compl:nat", "compl:list:" + ",".join(map(str, range(11)))):
+        s = parse_set_spec(spec)
+        for _ in range(2):  # the second call must not read an ended scan
+            with pytest.raises(sets.HorizonExceeded):
+                s.elements_below(12)
+    with pytest.raises(sets.HorizonExceeded):
+        sets.naturals().elements_below(100)
 
 
 def test_spec_round_trip():
