@@ -76,6 +76,7 @@ class NumericalSet:
     pulled so far and the live generator behind it, so no element is
     generated twice.
     """
+    complement_of: Optional["NumericalSet"] = None  # set by complement()
 
     def __init__(self, spec: str, contains: Callable[[int], bool],
                  iterate: Callable[[], Iterator[int]], finite: bool = False):
@@ -300,9 +301,18 @@ def shifted(c: int, inner: NumericalSet) -> NumericalSet:
 
 
 def complement(inner: NumericalSet) -> NumericalSet:
-    def contains(k: int) -> bool:
-        return not inner.contains(k)
-    return NumericalSet(f"compl:{inner.spec}", contains, _scan_iterator(contains))
+    """The naturals not in inner; a complement's complement is enumerated
+    (and finite) as the set inside it is, with no scan."""
+    twice = inner.complement_of
+    if twice is not None:
+        out = NumericalSet(f"compl:{inner.spec}", twice.contains,
+                           twice.iter_elements, twice.finite)
+    else:
+        contains = lambda k: not inner.contains(k)
+        out = NumericalSet(f"compl:{inner.spec}", contains,
+                           _scan_iterator(contains))
+    out.complement_of = inner
+    return out
 
 
 SPEC_DEPTH = 100

@@ -6,20 +6,27 @@ transformation contracts on randomized instances, the extension engine on
 its recipe seeds, and so on.  Suites are deterministic — randomized parts
 draw from a seeded generator and the seed is part of the report, so every
 failure comes with a reproduction command.
+
+A claim over many cases is built by `_first_failures` from a stream of
+cases (usually drawn from the suite's seeded generator) and a check: it
+fails at the first case the check rejects, names that case, and records
+the cases checked and the time taken.  Checks that need the same costly
+per-case work share one stream.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass, replace
+import time
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, Iterable
 
 import numpy as np
 
 from . import arithx, quantifiers as quantmod, sets as setsmod
-from .evaluator import define_relation, ef_equivalent, evaluate, evaluate_fast
+from .evaluator import TruthTables, define_relation, ef_equivalent, evaluate
 from .model import (BrModel, PartialArithModel, builtin_registry,
                     full_multiplication, powerset_structure, relativize,
                     word_model, zero_rows)
@@ -35,6 +42,8 @@ class Claim:
     label: str
     ok: bool
     detail: str = ""
+    cases: int = 0
+    seconds: float = field(default=0.0, compare=False)
 
 
 @dataclass
@@ -54,6 +63,8 @@ class SuiteReport:
             line = f"  {mark}  {c.label}"
             if c.detail:
                 line += f"  [{c.detail}]"
+            if c.cases:
+                line += f"  ({c.cases} cases, {c.seconds:.2f} s)"
             out.append(line)
         if not self.ok:
             out.append(f"  reproduce: fmlab check {self.name} "
@@ -61,12 +72,47 @@ class SuiteReport:
         return out
 
 
+def _first_failures(cases: Iterable[tuple], *checks: tuple) -> list[Claim]:
+    """One Claim per `(label, at, check)`, failed with detail `at=where`
+    at the first `(where, *args)` of `cases` with `check(*args)` false.
+
+    A failed check is not run again, and no case is drawn once every check
+    has failed.  A claim's `cases` counts the cases its check saw, the
+    failing one included; its `seconds` run from the first draw to the end
+    of its search, so the claims of one stream share its time."""
+    start = time.perf_counter()
+    claims = [Claim(label, True) for label, _, _ in checks]
+    live = [(claim, at, check)
+            for claim, (_, at, check) in zip(claims, checks)]
+    drawn = 0
+    for where, *args in cases:
+        drawn += 1
+        for claim, at, check in live:  # the list as it was before this case
+            if not check(*args):
+                claim.ok, claim.detail = False, f"{at}={where}"
+                claim.cases, claim.seconds = drawn, time.perf_counter() - start
+                live = [entry for entry in live if entry[0].ok]
+        if not live:
+            break
+    for claim, _, _ in live:
+        claim.cases, claim.seconds = drawn, time.perf_counter() - start
+    return claims
+
+
+def _decides_as_expected(q, n, rels, f, want) -> bool:
+    return q.decide(n, rels, f) == want
+
+
+def _rejects(call) -> bool:
+    try:
+        call()
+    except ValueError:
+        return True
+    return False
+
+
 def _unary(xs) -> frozenset:
     return frozenset((x,) for x in xs)
-
-
-def _identity_model(n: int) -> BrModel:
-    return BrModel(n, {}, {}, list(range(n)))
 
 
 def _random_fo_model(rng, n, arities, p=0.4) -> BrModel:
@@ -76,6 +122,17 @@ def _random_fo_model(rng, n, arities, p=0.4) -> BrModel:
     f = list(range(n))
     rng.shuffle(f)
     return BrModel(n, arities, rels, f)
+
+
+def _equicardinality_claims(label, rng, phi, reg, count, max_n) -> list[Claim]:
+    """phi decides |U| = |V| on `count` random models with n <= max_n."""
+    models = ((i, _random_fo_model(rng, rng.randrange(1, max_n + 1),
+                                   {"U": 1, "V": 1}, p=0.5))
+              for i in range(count))
+    return _first_failures(models, (
+        label, "instance",
+        lambda m: evaluate(m, phi, {}, quantifiers=reg)
+        == (len(m.rels["U"]) == len(m.rels["V"]))))
 
 
 def _masks(n: int):
@@ -96,18 +153,16 @@ def _suite_haertig_addition(seed) -> list[Claim]:
     reg = {"I": quantmod.hartig()}
     phi = parse("@le(y, z) & I(u: u < x; v: y < v & @le(v, z))", {},
                 quantmod.registry_shapes(reg))
-    bad = None
-    for n in ADDITION_NS:
-        got = define_relation(_identity_model(n), phi, ("x", "y", "z"),
-                              quantifiers=reg)
-        want = frozenset((a, b, a + b) for a in range(n) for b in range(n)
-                         if a + b < n)
-        if got != want:
-            bad = n
-            break
-    return [Claim("equicardinality formula defines restricted addition "
-                  "for every n in 2..64",
-                  bad is None, "" if bad is None else f"mismatch at n={bad}")]
+
+    def defines_addition(n):
+        got = define_relation(BrModel(n, {}, {}, list(range(n))), phi,
+                              ("x", "y", "z"), quantifiers=reg)
+        return got == frozenset((a, b, a + b) for a in range(n)
+                                for b in range(n) if a + b < n)
+
+    return _first_failures(((n, n) for n in ADDITION_NS), (
+        "equicardinality formula defines restricted addition for every n "
+        "in 2..64", "mismatch at n", defines_addition))
 
 
 ORDER_NS = range(1, 65)
@@ -117,31 +172,26 @@ ORDER_TRIALS = 20
 def _suite_order_from_plus(seed) -> list[Claim]:
     rng = random.Random(seed)
     phi = parse("E z. x + z = y")
-    bad_id = None
-    bad_rand = None
-    for n in ORDER_NS:
-        fs = [list(range(n))]
-        for _ in range(ORDER_TRIALS):
-            f = list(range(n))
-            rng.shuffle(f)
-            fs.append(f)
-        for trial, f in enumerate(fs):
-            got = define_relation(BrModel(n, {}, {}, f), phi, ("x", "y"))
-            want = frozenset((a, b) for a in range(n) for b in range(n)
-                             if f[a] <= f[b])
-            if got != want:
-                if trial == 0:
-                    bad_id = n
-                else:
-                    bad_rand = (n, trial)
-    return [
-        Claim("addition witness formula defines the order for the identity "
-              "permutation, n <= 64", bad_id is None,
-              "" if bad_id is None else f"mismatch at n={bad_id}"),
-        Claim(f"same for {ORDER_TRIALS} random permutations per n <= 64",
-              bad_rand is None,
-              "" if bad_rand is None else f"mismatch at n,trial={bad_rand}"),
-    ]
+
+    def defines_order(f):
+        n = len(f)
+        got = define_relation(BrModel(n, {}, {}, f), phi, ("x", "y"))
+        return got == frozenset((a, b) for a in range(n) for b in range(n)
+                                if f[a] <= f[b])
+
+    def shuffled():
+        for n in ORDER_NS:
+            for trial in range(1, ORDER_TRIALS + 1):
+                f = list(range(n))
+                rng.shuffle(f)
+                yield (n, trial), f
+
+    return (_first_failures(((n, list(range(n))) for n in ORDER_NS), (
+                "addition witness formula defines the order for the identity "
+                "permutation, n <= 64", "mismatch at n", defines_order))
+            + _first_failures(shuffled(), (
+                f"same for {ORDER_TRIALS} random permutations per n <= 64",
+                "mismatch at n,trial", defines_order)))
 
 
 # ---------------------------------------------------------------------------
@@ -160,66 +210,57 @@ def _random_partial_mult(rng, n: int) -> PartialArithModel:
 
 def _suite_mulext_lemma(seed) -> list[Claim]:
     rng = random.Random(seed)
-    bad = {}
-    for n in MULEXT_NS:
-        for i in range(MULEXT_SEEDS):
-            pm = _random_partial_mult(rng, n)
-            mu = arithx.mu_step(pm)
-            where = (n, i)
-            if not all(a * b == c < n for a, b, c in mu.mult) or \
-                    {(b, a, c) for a, b, c in mu.mult} != mu.mult:
-                bad.setdefault("mult", where)
-            g0 = [0] + [pm.gamma(a) for a in range(1, n)]
-            g1 = [0] + [mu.gamma(a) for a in range(1, n)]
-            if any(g1[a] < g0[a] for a in range(1, n)):
-                bad.setdefault("mono", where)
-            if any((g1[a] >= b) != (g1[b] >= a)
-                   for a in range(1, n) for b in range(1, n)):
-                bad.setdefault("sym", where)
-            for a in range(1, n):
-                top = min(a * a + a, n - 1)
-                for b in range(a + 1, top + 1):
-                    bound = min(g0[a] // ((b - 1) // a), (n - 1) // b)
-                    if g1[b] < bound:
-                        bad.setdefault("spread", where)
 
-    def claim(key, label):
-        return Claim(label, key not in bad,
-                     "" if key not in bad else f"seed index (n,i)={bad[key]}")
+    def rounds():
+        for n in MULEXT_NS:
+            for i in range(MULEXT_SEEDS):
+                pm = _random_partial_mult(rng, n)
+                mu = arithx.mu_step(pm)
+                g0 = [0] + [pm.gamma(a) for a in range(1, n)]
+                g1 = [0] + [mu.gamma(a) for a in range(1, n)]
+                yield (n, i), n, mu.mult, g0, g1
 
-    return [
-        claim("mult", "one extension round outputs a symmetric partial "
-                      "multiplication (200 seeds at n=10,20,40,60)"),
-        claim("mono", "the filled rectangle never shrinks"),
-        claim("sym", "rectangle reach is symmetric in its two sides"),
-        claim("spread", "reach spreads from a to each b <= a^2 + a at the "
-                        "guaranteed rate"),
-    ]
+    def symmetric_mult(n, mult, g0, g1):
+        return (all(a * b == c < n for a, b, c in mult)
+                and {(b, a, c) for a, b, c in mult} == mult)
+
+    def spreads(n, mult, g0, g1):
+        return all(g1[b] >= min(g0[a] // ((b - 1) // a), (n - 1) // b)
+                   for a in range(1, n)
+                   for b in range(a + 1, min(a * a + a, n - 1) + 1))
+
+    at = "seed index (n,i)"
+    return _first_failures(
+        rounds(),
+        ("one extension round outputs a symmetric partial multiplication "
+         "(200 seeds at n=10,20,40,60)", at, symmetric_mult),
+        ("the filled rectangle never shrinks", at,
+         lambda n, mult, g0, g1: all(g1[a] >= g0[a] for a in range(1, n))),
+        ("rectangle reach is symmetric in its two sides", at,
+         lambda n, mult, g0, g1: all((g1[a] >= b) == (g1[b] >= a)
+                                     for a in range(1, n)
+                                     for b in range(1, n))),
+        ("reach spreads from a to each b <= a^2 + a at the guaranteed rate",
+         at, spreads))
 
 
 MULEXT_PROP_NS = (64, 100, 216)
 
 
 def _suite_mulext_prop(seed) -> list[Claim]:
-    witness_fail = None
-    full_fail = None
-    for n in MULEXT_PROP_NS:
+    def seed(n):
         try:
-            _, pm = arithx.choose_seed(n, 3)
+            return arithx.choose_seed(n, 3)[1]
         except ValueError:
-            witness_fail = n
-            continue
-        if not arithx.extension_trace(pm, 3)[-1].is_full():
-            full_fail = n
-    return [
-        Claim("a rectangle seed satisfying the k=3 width hypothesis exists "
-              "at n=64,100,216", witness_fail is None,
-              "" if witness_fail is None else f"no witness at n={witness_fail}"),
-        Claim("at most six extension rounds reach the full restricted "
-              "multiplication",
-              full_fail is None,
-              "" if full_fail is None else f"not full at n={full_fail}"),
-    ]
+            return None
+
+    return _first_failures(
+        ((n, seed(n)) for n in MULEXT_PROP_NS),
+        ("a rectangle seed satisfying the k=3 width hypothesis exists at "
+         "n=64,100,216", "no witness at n", lambda pm: pm is not None),
+        ("at most six extension rounds reach the full restricted "
+         "multiplication", "not full at n",
+         lambda pm: pm is None or arithx.extension_trace(pm, 3)[-1].is_full()))
 
 
 # ---------------------------------------------------------------------------
@@ -251,8 +292,12 @@ def _suite_set_criteria(seed) -> list[Claim]:
     c4 = Claim("non-periodicity criterion (k=5, l=0) holds for squares at "
                "n=100,1000,10000", all(sq.values()), f"{sq}")
     fa = setsmod.nonperiodicity_criterion(fact, 10, 5, list(SET_F_NS))
+    # the criterion's quantity k*f*omega^l - n, which holds at 0 and above
+    margins = {n: 10 * f * omega ** 5 - n
+               for n in SET_F_NS for f, omega in [setsmod.f_omega(fact, n)]}
     c5 = Claim("non-periodicity criterion (k=10, l=5) fails for factorials "
-               "at n=23,119,719", not any(fa.values()), f"{fa}")
+               "at n=23,119,719", not any(fa.values()),
+               f"{fa}; k*f*omega^l - n = {margins}")
     return [c1, c2, c3, c4, c5]
 
 
@@ -274,11 +319,15 @@ def _suite_looseness_examples(seed) -> list[Claim]:
     eps4 = Fraction(1, 4)
     rl = setsmod.loose_at(pows, 4096, eps4)
     rp = setsmod.pseudoloose_at(pows, 4096, eps4)
+    # t is loose at eps = p/q when q*t*gamma - p*n >= 0; at 0, >= and > part
+    p, q = eps4.numerator, eps4.denominator
+    margin = ("" if rl.witness_t is None else ", q*t*gamma - p*n = "
+              f"{q * rl.witness_t * rl.gamma_value - p * rl.n}")
     claims.append(Claim("powers of two are neither loose nor pseudoloose at "
                         "eps=1/4, n=4096",
                         rl.verdict == "neither" and rp.verdict == "neither",
                         f"loose scan: {rl.verdict} (t={rl.witness_t}, "
-                        f"gamma={rl.gamma_value}); pseudoloose scan: "
+                        f"gamma={rl.gamma_value}{margin}); pseudoloose scan: "
                         f"{rp.verdict} (word={rp.witness_word!r})"))
     comp = setsmod.complement(setsmod.squares())
     rc = setsmod.pseudoloose_at(comp, 10_000, Fraction(1, 20))
@@ -303,48 +352,39 @@ def _suite_relativization(seed) -> list[Claim]:
            for name in REL_QUANT_NAMES}
     shapes = quantmod.registry_shapes(reg)
     guard = parse("P(v)", {"P": 1})
-    bad = None
-    done = 0
-    while done < REL_INSTANCES:
-        n = rng.randrange(2, 9)
-        m = _random_fo_model(rng, n, {"U": 1, "R": 2, "P": 1})
-        u = sorted(a for (a,) in m.rels["P"])
-        if not u:
-            continue
-        phi = random_formula(rng, {"U": 1, "R": 2}, rng.randrange(1, 4),
-                             ("x",), quants=shapes, builtins=("le", "lt"))
-        guarded = relativize_formula(phi, guard, "v", registry=reg)
-        sub, idx = relativize(m, u)
-        for x in u:
-            big = evaluate(m, guarded, {"x": x}, quantifiers=reg)
-            small = evaluate(sub, phi, {"x": idx[x]}, quantifiers=reg)
-            if big != small:
-                bad = (done, x)
-                break
-        if bad:
-            break
-        done += 1
-    claims = [Claim(f"guarded formula on the full model agrees with the bare "
-                    f"formula on the induced substructure "
-                    f"({REL_INSTANCES} random instances, n <= 8)",
-                    bad is None,
-                    "" if bad is None else f"instance,point={bad}")]
-    rejected = 0
-    try:
-        relativize_formula(parse("x + y = z"), guard, "v")
-    except ValueError:
-        rejected += 1
-    try:
-        relativize_formula(parse("Maj(x: U(x))", {"U": 1}, {"Maj": [1]}),
-                           guard, "v",
-                           registry=quantmod.builtin_quantifiers())
-    except ValueError:
-        rejected += 1
-    try:
-        relativize_formula(parse("U(x)", {"U": 1}),
-                           parse("R(v, w)", {"R": 2}), "v")
-    except ValueError:
-        rejected += 1
+
+    def points():
+        done = 0
+        while done < REL_INSTANCES:
+            n = rng.randrange(2, 9)
+            m = _random_fo_model(rng, n, {"U": 1, "R": 2, "P": 1})
+            u = sorted(a for (a,) in m.rels["P"])
+            if not u:
+                continue
+            phi = random_formula(rng, {"U": 1, "R": 2}, rng.randrange(1, 4),
+                                 ("x",), quants=shapes,
+                                 builtins=("le", "lt"))
+            guarded = relativize_formula(phi, guard, "v", registry=reg)
+            sub, idx = relativize(m, u)
+            for x in u:
+                yield (done, x), m, guarded, x, sub, phi, idx[x]
+            done += 1
+
+    def agrees(m, guarded, x, sub, phi, y):
+        return (evaluate(m, guarded, {"x": x}, quantifiers=reg)
+                == evaluate(sub, phi, {"x": y}, quantifiers=reg))
+
+    claims = _first_failures(points(), (
+        f"guarded formula on the full model agrees with the bare formula on "
+        f"the induced substructure ({REL_INSTANCES} random instances, "
+        f"n <= 8)", "instance,point", agrees))
+    rejected = sum(map(_rejects, (
+        lambda: relativize_formula(parse("x + y = z"), guard, "v"),
+        lambda: relativize_formula(
+            parse("Maj(x: U(x))", {"U": 1}, {"Maj": [1]}), guard, "v",
+            registry=quantmod.builtin_quantifiers()),
+        lambda: relativize_formula(parse("U(x)", {"U": 1}),
+                                   parse("R(v, w)", {"R": 2}), "v"))))
     claims.append(Claim("arithmetic built-ins, domain-dependent quantifiers "
                         "and non-unary guards are rejected", rejected == 3,
                         f"{rejected}/3 rejected"))
@@ -357,31 +397,29 @@ SUBST_INSTANCES = 500
 def _suite_substitution(seed) -> list[Claim]:
     rng = random.Random(seed)
     base = {"U": 1, "R": 2}
-    bad = None
-    for i in range(SUBST_INSTANCES):
-        n = rng.randrange(1, 7)
-        m = _random_fo_model(rng, n, base)
-        body = random_formula(rng, base, rng.randrange(1, 4), ("p", "q"))
-        phi = random_formula(rng, {**base, "S": 2}, rng.randrange(1, 4),
-                             ("x",))
+
+    def instances():
+        for i in range(SUBST_INSTANCES):
+            n = rng.randrange(1, 7)
+            m = _random_fo_model(rng, n, base)
+            body = random_formula(rng, base, rng.randrange(1, 4), ("p", "q"))
+            phi = random_formula(rng, {**base, "S": 2}, rng.randrange(1, 4),
+                                 ("x",))
+            yield i, m, body, phi, {"x": rng.randrange(n)}
+
+    def agrees(m, body, phi, point):
         subbed = substitute(phi, {"S": (("p", "q"), body)})
-        s_ext = define_relation(m, body, ("p", "q"))
-        m_s = m.with_relations({"S": s_ext}, {"S": 2})
-        x = rng.randrange(n)
-        if evaluate(m, subbed, {"x": x}) != evaluate(m_s, phi, {"x": x}):
-            bad = i
-            break
-    claims = [Claim(f"substituting a definition agrees with evaluating "
-                    f"against the defined relation ({SUBST_INSTANCES} random "
-                    f"instances, n <= 6)", bad is None,
-                    "" if bad is None else f"instance={bad}")]
-    try:
-        substitute(parse("S(x, y)", {"S": 2}),
-                   {"S": (("p",), parse("U(p)", {"U": 1}))})
-        claims.append(Claim("arity mismatches are rejected", False))
-    except ValueError:
-        claims.append(Claim("arity mismatches are rejected", True))
-    return claims
+        m_s = m.with_relations({"S": define_relation(m, body, ("p", "q"))},
+                               {"S": 2})
+        return evaluate(m, subbed, point) == evaluate(m_s, phi, point)
+
+    claims = _first_failures(instances(), (
+        f"substituting a definition agrees with evaluating against the "
+        f"defined relation ({SUBST_INSTANCES} random instances, n <= 6)",
+        "instance", agrees))
+    return claims + [Claim("arity mismatches are rejected", _rejects(
+        lambda: substitute(parse("S(x, y)", {"S": 2}),
+                           {"S": (("p",), parse("U(p)", {"U": 1}))})))]
 
 
 # ---------------------------------------------------------------------------
@@ -410,29 +448,29 @@ def _suite_regularization_ui(seed) -> list[Claim]:
     bases = [quantmod.cardinality(setsmod.squares(), "C_Sq"),
              quantmod.hartig(),
              quantmod.language_quantifier(quantmod.lang_anbn())]
-    bad = None
-    for q in bases:
-        qreg = quantmod.regularize(q)
-        for b in range(REG_UI_BASES):
-            n0 = rng.randrange(1, 7)
-            f0 = list(range(n0))
-            rng.shuffle(f0)
-            rels0 = [frozenset(t for t in
-                               itertools.product(range(n0), repeat=ar)
-                               if rng.random() < 0.5)
-                     for ar in qreg.slot_arities]
-            want = qreg.decide(n0, rels0, f0)
-            for p in range(REG_UI_PADDINGS):
-                n = rng.randrange(n0, 11)
-                mapped, fbig = _pad_structure(rng, n0, rels0, f0, n)
-                if qreg.decide(n, mapped, fbig) != want:
-                    bad = (q.name, b, p)
-                    break
-    claims = [Claim("regularized verdicts are invariant under "
-                    f"{REG_UI_PADDINGS} random paddings per base structure "
-                    "(bases: C_Sq, I, the a^nb^n word quantifier; n <= 10)",
-                    bad is None,
-                    "" if bad is None else f"quantifier,base,padding={bad}")]
+
+    def paddings():
+        for q in bases:
+            qreg = quantmod.regularize(q)
+            for b in range(REG_UI_BASES):
+                n0 = rng.randrange(1, 7)
+                f0 = list(range(n0))
+                rng.shuffle(f0)
+                rels0 = [frozenset(t for t in
+                                   itertools.product(range(n0), repeat=ar)
+                                   if rng.random() < 0.5)
+                         for ar in qreg.slot_arities]
+                want = qreg.decide(n0, rels0, f0)
+                for p in range(REG_UI_PADDINGS):
+                    n = rng.randrange(n0, 11)
+                    mapped, fbig = _pad_structure(rng, n0, rels0, f0, n)
+                    yield (q.name, b, p), qreg, n, mapped, fbig, want
+
+    claims = _first_failures(paddings(), (
+        f"regularized verdicts are invariant under {REG_UI_PADDINGS} random "
+        "paddings per base structure (bases: C_Sq, I, the a^nb^n word "
+        "quantifier; n <= 10)", "quantifier,base,padding",
+        _decides_as_expected))
     # contrast: the bare word-language quantifier is padding sensitive
     q = quantmod.language_quantifier(quantmod.lang_anbn())
     inside = q.decide(2, [_unary({0}), _unary({1})], [0, 1])
@@ -463,7 +501,7 @@ def _order_lookup() -> tuple[bool, list]:
     m = BrModel(n, {"U": 1, "V": 1},
                 {"U": {(x,) for x in range(n) if cls[x] & 1},
                  "V": {(x,) for x in range(n) if cls[x] & 2}},
-            list(range(n)))
+                list(range(n)))
     rel = define_relation(m, parse(TAILORED_ORDER, {"U": 1, "V": 1}),
                           ("x", "y"))
     table = {}
@@ -486,57 +524,40 @@ def _suite_lift_hartig(seed) -> list[Claim]:
     consistent, lut = _order_lookup()
     claims = [Claim("the tailored-order formula depends only on membership "
                     "classes and the ambient comparison", consistent)]
-    bad = None
-    for n in LIFT_NS:
-        dom = range(n)
-        f = list(dom)
-        pairs = [((x, y), x <= y) for x in dom for y in dom]
-        bits = [[w >> i & 1 for i in range(n)] for w in _masks(n)]
-        pcs = [sum(b) for b in bits]
-        for um in _masks(n):
-            ub = bits[um]
-            pu = pcs[um]
-            for vm in _masks(n):
-                vb = bits[vm]
-                cl = [ub[i] + 2 * vb[i] for i in range(n)]
-                order = frozenset(t for t, le in pairs
-                                  if lut[cl[t[0]]][cl[t[1]]][le])
-                slots = [frozenset((i,) for i in dom if cl[i] == 1),
-                         frozenset((i,) for i in dom if cl[i] == 2),
-                         frozenset((i,) for i in dom if cl[i] in (0, 3)),
-                         order]
-                if lifted.decide(n, slots, f) != (pu == pcs[vm]):
-                    bad = (n, um, vm)
-                    break
-            if bad:
-                break
-        if bad:
-            break
-    claims.append(Claim("the ordered lift applied along the tailored order "
-                        "decides equicardinality on all (U, V), n <= 9",
-                        bad is None,
-                        "" if bad is None else f"n,Umask,Vmask={bad}"))
+
+    def slot_structures():
+        for n in LIFT_NS:
+            dom = range(n)
+            f = list(dom)
+            pairs = [((x, y), x <= y) for x in dom for y in dom]
+            bits = [[w >> i & 1 for i in range(n)] for w in _masks(n)]
+            pcs = [sum(b) for b in bits]
+            for um in _masks(n):
+                ub = bits[um]
+                pu = pcs[um]
+                for vm in _masks(n):
+                    vb = bits[vm]
+                    cl = [ub[i] + 2 * vb[i] for i in range(n)]
+                    order = frozenset(t for t, le in pairs
+                                      if lut[cl[t[0]]][cl[t[1]]][le])
+                    slots = [frozenset((i,) for i in dom if cl[i] == 1),
+                             frozenset((i,) for i in dom if cl[i] == 2),
+                             frozenset((i,) for i in dom if cl[i] in (0, 3)),
+                             order]
+                    yield (n, um, vm), lifted, n, slots, f, pu == pcs[vm]
+
+    claims += _first_failures(slot_structures(), (
+        "the ordered lift applied along the tailored order decides "
+        "equicardinality on all (U, V), n <= 9", "n,Umask,Vmask",
+        _decides_as_expected))
     # full-formula route on a sample, against the same verdicts
-    reg = {"Qab": quantmod.lift_over_order(replace(
-        quantmod.language_quantifier(quantmod.lang_ambmck()), name="Qab"))}
-    reg = {"Qab_le": reg["Qab"]}
+    reg = {"Qab_le": lifted}
     qtext = ("Qab_le(x: U(x) & !V(x); y: V(y) & !U(y); z: U(z) <-> V(z); "
              f"t, u: {TAILORED_ORDER.replace('x', 't').replace('y', 'u')})")
     phi = parse(qtext, {"U": 1, "V": 1}, quantmod.registry_shapes(reg))
-    bad2 = None
-    for i in range(60):
-        n = rng.randrange(1, 8)
-        m = _random_fo_model(rng, n, {"U": 1, "V": 1}, p=0.5)
-        got = evaluate(m, phi, {}, quantifiers=reg)
-        want = len(m.rels["U"]) == len(m.rels["V"])
-        if got != want:
-            bad2 = i
-            break
-    claims.append(Claim("the same construction written as one formula "
-                        "agrees on 60 random models (random f, n <= 7)",
-                        bad2 is None,
-                        "" if bad2 is None else f"instance={bad2}"))
-    return claims
+    return claims + _equicardinality_claims(
+        "the same construction written as one formula agrees on 60 random "
+        "models (random f, n <= 7)", rng, phi, reg, 60, 7)
 
 
 RC_SET = (2, 5)
@@ -558,51 +579,46 @@ def _suite_rc_unary(seed) -> list[Claim]:
     qfast, qslow = _rc_quantifiers()
     splus1 = setsmod.explicit([k + 1 for k in RC_SET])
     card = quantmod.cardinality(splus1, "C_S1")
-    bad = None
-    for n in RC_NS:
+
+    def subsets(ns):
+        return (((n, mask), n, _mask_rel(mask, n))
+                for n in ns for mask in _masks(n))
+
+    def agrees_with_card(n, rel):
         f = list(range(n))
-        for mask in _masks(n):
-            rel = _mask_rel(mask, n)
-            if qfast.decide(n, [rel, rel], f) != card.decide(n, [rel], f):
-                bad = (n, mask)
-                break
-    claims = [Claim("regularized initial-segment quantifier applied to "
-                    "(U, U) agrees with the shifted cardinality quantifier "
-                    "on every U, n <= 12", bad is None,
-                    "" if bad is None else f"n,mask={bad}")]
+        return qfast.decide(n, [rel, rel], f) == card.decide(n, [rel], f)
+
+    claims = _first_failures(subsets(RC_NS), (
+        "regularized initial-segment quantifier applied to (U, U) agrees "
+        "with the shifted cardinality quantifier on every U, n <= 12",
+        "n,mask", agrees_with_card))
     reg = {"QrcReg": qslow}
     phi = parse("QrcReg(x: U(x); y: U(y))", {"U": 1},
                 quantmod.registry_shapes(reg))
-    bad2 = None
-    for n in range(1, 9):
-        for mask in _masks(n):
-            m = BrModel(n, {"U": 1}, {"U": set(_mask_rel(mask, n))},
-                        list(range(n)))
-            got = evaluate(m, phi, {}, quantifiers=reg)
-            if got != (bin(mask).count("1") in splus1):
-                bad2 = (n, mask)
-                break
-    claims.append(Claim("the same check through formula evaluation, "
-                        "exhaustive for n <= 8", bad2 is None,
-                        "" if bad2 is None else f"n,mask={bad2}"))
-    bad3 = None
-    for i in range(200):
-        n = rng.randrange(1, 11)
-        f = list(range(n))
-        rng.shuffle(f)
-        v = {x for x in range(n) if rng.random() < 0.6}
-        u = {x for x in v if rng.random() < 0.6}
-        by_rank = sorted(v, key=lambda e: f[e])
-        initial = u == set(by_rank[:len(u)])
-        want = len(u) in splus1 and initial
-        if qfast.decide(n, [_unary(u), _unary(v)], f) != want:
-            bad3 = i
-            break
-    claims.append(Claim("on slot pairs U within V: verdict iff |U| is a "
-                        "shifted member and U is an initial segment of V "
-                        "(200 random instances, random f)", bad3 is None,
-                        "" if bad3 is None else f"instance={bad3}"))
-    return claims
+
+    def by_formula(n, rel):
+        m = BrModel(n, {"U": 1}, {"U": set(rel)}, list(range(n)))
+        return evaluate(m, phi, {}, quantifiers=reg) == (len(rel) in splus1)
+
+    claims += _first_failures(subsets(range(1, 9)), (
+        "the same check through formula evaluation, exhaustive for n <= 8",
+        "n,mask", by_formula))
+
+    def slot_pairs():
+        for i in range(200):
+            n = rng.randrange(1, 11)
+            f = list(range(n))
+            rng.shuffle(f)
+            v = {x for x in range(n) if rng.random() < 0.6}
+            u = {x for x in v if rng.random() < 0.6}
+            by_rank = sorted(v, key=lambda e: f[e])
+            want = len(u) in splus1 and u == set(by_rank[:len(u)])
+            yield i, qfast, n, [_unary(u), _unary(v)], f, want
+
+    return claims + _first_failures(slot_pairs(), (
+        "on slot pairs U within V: verdict iff |U| is a shifted member and U "
+        "is an initial segment of V (200 random instances, random f)",
+        "instance", _decides_as_expected))
 
 
 DIVMOD_MS = (2, 3, 5)
@@ -634,44 +650,31 @@ def _divmod_formulas(m: int):
 
 
 def _suite_divmod_interdef(seed) -> list[Claim]:
-    from .evaluator import TruthTables
     rng = random.Random(seed)
     per_m = {m: _divmod_formulas(m) for m in DIVMOD_MS}
-    bad_direct = None
-    bad_inter = None
-    for n in DIVMOD_NS:
-        if n <= DIVMOD_FULL_N:
-            masks = list(_masks(n))
-        else:
-            masks = [rng.randrange(1 << n) for _ in range(DIVMOD_SAMPLES)]
-        full = n <= DIVMOD_FULL_N
-        for mask in (_masks(n) if full else masks):
-            model = BrModel(n, {"U": 1}, {"U": set(_mask_rel(mask, n))},
-                            list(range(n)))
-            size = bin(mask).count("1")
-            for m, (reg, direct, via_div, div_direct, via_card) in \
-                    per_m.items():
-                tt = TruthTables(model, quantifiers=reg)
-                res = {phi: bool(tt.table(phi)[1] & 1)
-                       for phi in (direct, via_div, div_direct, via_card)}
-                if res[direct] != (size % m == 1):
-                    bad_direct = (m, n, mask)
-                if res[via_div] != res[direct] or \
-                        res[via_card] != res[div_direct] or \
-                        res[div_direct] != (size % m == 0):
-                    bad_inter = (m, n, mask)
-        if bad_direct and bad_inter:
-            break
-    return [
-        Claim("shifted cardinality application holds iff the witness count "
-              "is 1 mod m (m=2,3,5; every U for n <= 8, sampled to n = 12)",
-              bad_direct is None,
-              "" if bad_direct is None else f"m,n,mask={bad_direct}"),
-        Claim("each of the two quantifiers defines the other "
-              "(congruences checked on the same models)",
-              bad_inter is None,
-              "" if bad_inter is None else f"m,n,mask={bad_inter}"),
-    ]
+
+    def verdicts():
+        for n in DIVMOD_NS:
+            masks = (_masks(n) if n <= DIVMOD_FULL_N else
+                     [rng.randrange(1 << n) for _ in range(DIVMOD_SAMPLES)])
+            for mask in masks:
+                model = BrModel(n, {"U": 1}, {"U": set(_mask_rel(mask, n))},
+                                list(range(n)))
+                size = bin(mask).count("1")
+                for m, (reg, *formulas) in per_m.items():
+                    tt = TruthTables(model, quantifiers=reg)
+                    yield ((m, n, mask), m, size,
+                           *(bool(tt.table(phi)[1]) for phi in formulas))
+
+    return _first_failures(
+        verdicts(),
+        ("shifted cardinality application holds iff the witness count is 1 "
+         "mod m (m=2,3,5; every U for n <= 8, sampled to n = 12)", "m,n,mask",
+         lambda m, size, direct, *_: direct == (size % m == 1)),
+        ("each of the two quantifiers defines the other (congruences checked "
+         "on the same models)", "m,n,mask",
+         lambda m, size, direct, via_div, div_direct, via_card:
+         via_div == direct and via_card == div_direct == (size % m == 0)))
 
 
 # ---------------------------------------------------------------------------
@@ -766,51 +769,41 @@ def _suite_median_trick(seed) -> list[Claim]:
     rng = random.Random(seed)
     phi = _median_formula()
     reg = {"QL1": _median_quantifier()}
-    bad = None
-    verdicts = {}
-    for n in MEDIAN_NS:
-        v = _median_verdicts(n)
-        verdicts[n] = v
-        pc = np.array([bin(w).count("1") for w in _masks(n)])
-        if not np.array_equal(v, pc[:, None] == pc[None, :]):
-            um, vm = map(int, np.argwhere(
-                v != (pc[:, None] == pc[None, :]))[0])
-            bad = (n, um, vm)
-    claims = [Claim("the case disjunction decides |U| = |V| on all (U, V), "
-                    "n <= 10", bad is None,
-                    "" if bad is None else f"n,Umask,Vmask={bad}")]
-    bad2 = None
-    for n in MEDIAN_NS:
-        if n <= MEDIAN_FULL_N:
-            cases = [(um, vm) for um in _masks(n) for vm in _masks(n)]
-        else:
-            cases = [(rng.randrange(1 << n), rng.randrange(1 << n))
-                     for _ in range(MEDIAN_SAMPLES)]
-        for um, vm in cases:
-            m = BrModel(n, {"U": 1, "V": 1},
-                        {"U": set(_mask_rel(um, n)),
-                         "V": set(_mask_rel(vm, n))}, list(range(n)))
-            if evaluate(m, phi, {}, quantifiers=reg) != bool(verdicts[n][um, vm]):
-                bad2 = (n, um, vm)
-                break
-        if bad2:
-            break
-    claims.append(Claim("real formula evaluation matches the vectorized "
-                        "route (exhaustive n <= 5, sampled to n = 10)",
-                        bad2 is None,
-                        "" if bad2 is None else f"n,Umask,Vmask={bad2}"))
-    bad3 = None
-    for i in range(40):
-        n = rng.randrange(1, 9)
-        m = _random_fo_model(rng, n, {"U": 1, "V": 1}, p=0.5)
-        got = evaluate(m, phi, {}, quantifiers=reg)
-        if got != (len(m.rels["U"]) == len(m.rels["V"])):
-            bad3 = i
-            break
-    claims.append(Claim("the formula also decides equicardinality under 40 "
-                        "random permutations", bad3 is None,
-                        "" if bad3 is None else f"instance={bad3}"))
-    return claims
+    verdicts = {n: _median_verdicts(n) for n in MEDIAN_NS}
+
+    def mismatches():
+        # one case per n: every (U, V) at once; where names its first miss
+        for n, v in verdicts.items():
+            pc = np.array([bin(w).count("1") for w in _masks(n)])
+            wrong = np.argwhere(v != (pc[:, None] == pc[None, :]))
+            yield (n, *map(int, wrong[0])) if len(wrong) else n, wrong
+
+    claims = _first_failures(mismatches(), (
+        "the case disjunction decides |U| = |V| on all (U, V), n <= 10",
+        "n,Umask,Vmask", lambda wrong: not len(wrong)))
+
+    def mask_pairs():
+        for n in MEDIAN_NS:
+            if n <= MEDIAN_FULL_N:
+                pairs = itertools.product(_masks(n), repeat=2)
+            else:
+                pairs = [(rng.randrange(1 << n), rng.randrange(1 << n))
+                         for _ in range(MEDIAN_SAMPLES)]
+            for um, vm in pairs:
+                yield (n, um, vm), n, um, vm
+
+    def matches(n, um, vm):
+        m = BrModel(n, {"U": 1, "V": 1},
+                    {"U": set(_mask_rel(um, n)), "V": set(_mask_rel(vm, n))},
+                    list(range(n)))
+        return evaluate(m, phi, {}, quantifiers=reg) == bool(verdicts[n][um, vm])
+
+    claims += _first_failures(mask_pairs(), (
+        "real formula evaluation matches the vectorized route (exhaustive "
+        "n <= 5, sampled to n = 10)", "n,Umask,Vmask", matches))
+    return claims + _equicardinality_claims(
+        "the formula also decides equicardinality under 40 random "
+        "permutations", rng, phi, reg, 40, 8)
 
 
 # ---------------------------------------------------------------------------
@@ -830,20 +823,17 @@ def _suite_mso_counterexample(seed) -> list[Claim]:
         phi = Exists("x", body)
         if quantifier_rank(phi) <= 3:
             corpus.append(phi)
-    bad = None
-    for k in MSO_KS:
-        mk = powerset_structure(k)
-        wk = word_model("a" * k)
-        for i, phi in enumerate(corpus):
-            if evaluate(mk, phi, {}) != evaluate(wk, mso_translate(phi), {}):
-                bad = (k, i)
-                break
-        if bad:
-            break
-    claims = [Claim(f"subset-structure truth transfers to the translated "
-                    f"sentence on unary words, k = 1..4 "
-                    f"({MSO_CORPUS} rank <= 3 sentences)", bad is None,
-                    "" if bad is None else f"k,sentence={bad}")]
+    models = [(k, powerset_structure(k), word_model("a" * k)) for k in MSO_KS]
+    sentences = (((k, i), mk, wk, phi) for k, mk, wk in models
+                 for i, phi in enumerate(corpus))
+
+    def transfers(mk, wk, phi):
+        return evaluate(mk, phi, {}) == evaluate(wk, mso_translate(phi), {})
+
+    claims = _first_failures(sentences, (
+        f"subset-structure truth transfers to the translated sentence on "
+        f"unary words, k = 1..4 ({MSO_CORPUS} rank <= 3 sentences)",
+        "k,sentence", transfers))
     pq = quantmod.powerset_quantifier()
     got = {k: pq.decide((m := powerset_structure(k)).n, [m.rels["E"]], m.f)
            for k in POWERSET_KS}
@@ -888,22 +878,20 @@ def _suite_ef_games(seed) -> list[Claim]:
         Claim("a fourth round separates them",
               not ef_equivalent(w7, w9, 4)),
     ]
-    refl_bad = None
-    sym_bad = None
-    for i in range(EF_PAIRS):
-        n1, n2 = rng.randrange(1, 9), rng.randrange(1, 9)
-        m1 = _random_fo_model(rng, n1, {"P": 1})
-        m2 = _random_fo_model(rng, n2, {"P": 1})
-        if not (ef_equivalent(m1, m1, 3) and ef_equivalent(m2, m2, 3)):
-            refl_bad = i
-        if ef_equivalent(m1, m2, 3) != ef_equivalent(m2, m1, 3):
-            sym_bad = i
-    claims.append(Claim(f"equivalence is reflexive on {EF_PAIRS} random "
-                        "models, n <= 8", refl_bad is None,
-                        "" if refl_bad is None else f"pair={refl_bad}"))
-    claims.append(Claim("and symmetric on the same pairs", sym_bad is None,
-                        "" if sym_bad is None else f"pair={sym_bad}"))
-    return claims
+
+    def pairs():
+        for i in range(EF_PAIRS):
+            n1, n2 = rng.randrange(1, 9), rng.randrange(1, 9)
+            yield (i, _random_fo_model(rng, n1, {"P": 1}),
+                   _random_fo_model(rng, n2, {"P": 1}))
+
+    return claims + _first_failures(
+        pairs(),
+        (f"equivalence is reflexive on {EF_PAIRS} random models, n <= 8",
+         "pair", lambda m1, m2: ef_equivalent(m1, m1, 3)
+         and ef_equivalent(m2, m2, 3)),
+        ("and symmetric on the same pairs", "pair",
+         lambda m1, m2: ef_equivalent(m1, m2, 3) == ef_equivalent(m2, m1, 3)))
 
 
 # ---------------------------------------------------------------------------

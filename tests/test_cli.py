@@ -78,6 +78,18 @@ def test_set_horizon_is_usage_error(monkeypatch, capsys, spec, n):
     assert capsys.readouterr().err.startswith("error:")
 
 
+def test_double_complement_is_the_inner_set(monkeypatch, capsys):
+    # compl:compl:list:1,2 is {1, 2}; a scan for its members would meet
+    # more than STEP_HORIZON non-members after 2
+    monkeypatch.setattr(sets, "STEP_HORIZON", 10)
+    args = ["--n", "10", "--eps", "1/3"]
+    assert main(["analyze-set", "--set", "list:1,2", *args]) == 0
+    want = capsys.readouterr().out
+    assert main(["analyze-set", "--set", "compl:compl:list:1,2", *args]) == 0
+    assert capsys.readouterr().out == want
+    assert sets.parse_set_spec("compl:compl:list:1,2").finite
+
+
 def test_parse_command(capsys):
     assert main(["parse", "--formula", "E x. (P(x) & x < y)"]) == 0
     assert capsys.readouterr().out.strip() == "E x. (P(x) & @lt(x, y))"

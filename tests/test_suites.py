@@ -1,7 +1,7 @@
 import pytest
 
 from fmlab import suites
-from fmlab.suites import Claim, SuiteReport, run_suite
+from fmlab.suites import Claim, SuiteReport, _first_failures, run_suite
 
 EXPECTED = {
     "haertig-addition", "order-from-plus", "mulext-lemma", "mulext-prop",
@@ -26,9 +26,12 @@ def test_default_seed_recorded():
     assert run_suite("neutral-letter", seed=7).seed == 7
 
 
-def test_deterministic_given_seed():
-    a = run_suite("substitution", seed=99)
-    b = run_suite("substitution", seed=99)
+# relativization skips draws whose guard is empty, so its stream draws a
+# varying number of values per case
+@pytest.mark.parametrize("name", ["substitution", "relativization"])
+def test_deterministic_given_seed(name):
+    a = run_suite(name, seed=99)
+    b = run_suite(name, seed=99)
     assert a.claims == b.claims
 
 
@@ -48,6 +51,62 @@ def test_report_lines_on_failure():
                for ln in lines)
     assert lines[-1] == "  reproduce: fmlab check demo --seed 5"
     assert not rep.ok
+
+
+def test_report_lines_count_and_time_searched_claims():
+    searched = Claim("works", True, cases=3, seconds=0.5)
+    lines = SuiteReport("demo", 5, [searched, Claim("plain", True)]).lines()
+    assert lines[1] == "  PASS  works  (3 cases, 0.50 s)"
+    assert lines[2] == "  PASS  plain"
+    assert searched == Claim("works", True, cases=3, seconds=9.0)
+
+
+def test_first_failure_names_the_first_bad_case():
+    cases = ((f"w{i}", i) for i in range(1, 6))
+    [claim] = _first_failures(cases, ("below 3", "case", lambda i: i < 3))
+    assert not claim.ok
+    assert claim.detail == "case=w3"
+    assert claim.cases == 3
+
+
+def test_shared_stream_counts_each_check():
+    cases = ((i, i) for i in range(5))
+    fails, holds = _first_failures(cases, ("a", "i", lambda i: i != 1),
+                                   ("b", "i", lambda i: True))
+    assert (fails.ok, fails.detail, fails.cases) == (False, "i=1", 2)
+    assert (holds.ok, holds.detail, holds.cases) == (True, "", 5)
+
+
+def test_stream_stops_once_every_check_failed():
+    pulls = []
+
+    def cases():
+        for i in range(10):
+            pulls.append(i)
+            yield i, i
+
+    claims = _first_failures(cases(), ("a", "i", lambda i: i < 2),
+                             ("b", "i", lambda i: i < 4))
+    assert pulls == [0, 1, 2, 3, 4]
+    assert [c.cases for c in claims] == [3, 5]
+
+
+def test_shared_work_runs_once_per_case():
+    work = []
+    calls = []
+
+    def cases():
+        for i in range(4):
+            work.append(i)  # the costly part both checks read
+            yield i, i * i
+
+    def check(square):
+        calls.append(square)
+        return True
+
+    _first_failures(cases(), ("a", "i", check), ("b", "i", check))
+    assert work == [0, 1, 2, 3]
+    assert calls == [0, 0, 1, 1, 4, 4, 9, 9]
 
 
 def test_cheap_suites_pass():
