@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
+from .evaluator import define_relation
 from .model import PartialArithModel, partial_arith, zero_rows
 from .sets import NumericalSet, floor_nth_root, occurrence_set
 from .syntax import Formula, parse
@@ -41,7 +42,6 @@ def mu_formula() -> Formula:
 
 def mu_relation_oracle(pm: PartialArithModel, cap: int = 14) -> frozenset:
     """Direct evaluation of the extension formula; small domains only."""
-    from .evaluator import define_relation
     if pm.n > cap:
         raise ValueError(f"oracle evaluation capped at n <= {cap}")
     return define_relation(pm.as_br_model(), mu_formula(), ("x", "y", "z"))

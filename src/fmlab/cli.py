@@ -9,6 +9,7 @@ enumerations that pass their horizon.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
 from fractions import Fraction
@@ -75,7 +76,6 @@ def _load_config(path: str):
                             setsmod.parse_set_spec(spec[5:]), name)
                     elif spec.startswith("lang:"):
                         lang = quantmod.parse_lang_spec(spec[5:])
-                        import dataclasses
                         q = dataclasses.replace(
                             quantmod.language_quantifier(lang), name=name)
                     else:

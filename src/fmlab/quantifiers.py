@@ -4,13 +4,13 @@ regularize / lift-over-order / powerset constructions."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import isqrt
 from typing import Callable, Optional, Sequence
 
 from . import model as modelmod
 from .model import BrModel, NumericalRelation
-from .sets import NumericalSet
+from .sets import NumericalSet, factorials, powers_of_two, squares
 
 
 @dataclass
@@ -323,15 +323,12 @@ def powerset_quantifier() -> Quantifier:
 def builtin_quantifiers(extra_sets: Optional[dict] = None) -> dict:
     """The default registry; cardinality quantifiers for a few stock sets
     plus any supplied as {suffix: NumericalSet}."""
-    from . import sets as setsmod
-
     regs = {}
     for q in [hartig(), divisibility(), divisibility_by(2), divisibility_by(3),
               divisibility_by(5), majority(), majority_pairs(),
               exists_nonempty(), powerset_quantifier()]:
         regs[q.name] = q
-    stock = {"Sq": setsmod.squares(), "E": setsmod.powers_of_two(),
-             "F": setsmod.factorials()}
+    stock = {"Sq": squares(), "E": powers_of_two(), "F": factorials()}
     stock.update(extra_sets or {})
     for suffix, s in stock.items():
         q = cardinality(s, name=f"C_{suffix}")

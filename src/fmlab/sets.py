@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import itertools
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
 from typing import Callable, Iterator, Optional
@@ -76,7 +76,9 @@ class NumericalSet:
     pulled so far and the live generator behind it, so no element is
     generated twice.
     """
-    complement_of: Optional["NumericalSet"] = None  # set by complement()
+    # the naturals not in this set, when known without a scan; set by
+    # complement() and carried through shifted()
+    complement_of: Optional["NumericalSet"] = None
 
     def __init__(self, spec: str, contains: Callable[[int], bool],
                  iterate: Callable[[], Iterator[int]], finite: bool = False):
@@ -176,60 +178,10 @@ def squares() -> NumericalSet:
                         lambda: (i * i for i in itertools.count()))
 
 
-def poly_range(coeffs: list[int]) -> NumericalSet:
-    """{p(x) : x in N} for p with nonnegative integer coefficients,
-    lowest degree first."""
-    if not coeffs or any(c < 0 for c in coeffs):
-        raise ValueError("poly needs nonnegative coefficients, at least one")
-    cs = list(coeffs)
-
-    def p(x: int) -> int:
-        acc = 0
-        for c in reversed(cs):
-            acc = acc * x + c
-        return acc
-
-    increasing = any(c > 0 for c in cs[1:])
-
+def _range_of(spec: str, value: Callable[[int], int]) -> NumericalSet:
+    """{value(x) : x in N} for a nondecreasing, unbounded value function."""
     def contains(k: int) -> bool:
-        if not increasing:
-            return k == cs[0]
-        lo, hi = 0, 1
-        while p(hi) < k:
-            hi *= 2
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if p(mid) < k:
-                lo = mid + 1
-            else:
-                hi = mid
-        return p(lo) == k
-
-    def iterate() -> Iterator[int]:
-        if not increasing:
-            yield cs[0]
-            return
-        prev = None
-        for i in itertools.count():
-            v = p(i)
-            if v != prev:
-                yield v
-            prev = v
-
-    return NumericalSet("poly:" + ",".join(map(str, cs)), contains, iterate,
-                        finite=not increasing)
-
-
-def floor_power_range(p: int, q: int) -> NumericalSet:
-    """{floor(x^(p/q)) : x in N} for a rational exponent p/q > 1."""
-    if q < 1 or Fraction(p, q) <= 1:
-        raise ValueError("floorpow needs exponent p/q > 1")
-
-    def value(x: int) -> int:
-        return floor_power(x, p, q)
-
-    def contains(k: int) -> bool:
-        # value() is nondecreasing; binary search an x with value(x) == k.
+        # binary search an x with value(x) == k
         lo, hi = 0, 1
         while value(hi) < k:
             hi *= 2
@@ -249,7 +201,34 @@ def floor_power_range(p: int, q: int) -> NumericalSet:
                 yield v
             prev = v
 
-    return NumericalSet(f"floorpow:{p}/{q}", contains, iterate)
+    return NumericalSet(spec, contains, iterate)
+
+
+def poly_range(coeffs: list[int]) -> NumericalSet:
+    """{p(x) : x in N} for p with nonnegative integer coefficients,
+    lowest degree first."""
+    if not coeffs or any(c < 0 for c in coeffs):
+        raise ValueError("poly needs nonnegative coefficients, at least one")
+    cs = list(coeffs)
+    spec = "poly:" + ",".join(map(str, cs))
+    if not any(cs[1:]):  # a constant: the one-element set {c0}
+        return NumericalSet(spec, lambda k: k == cs[0], lambda: iter(cs[:1]),
+                            finite=True)
+
+    def p(x: int) -> int:
+        acc = 0
+        for c in reversed(cs):
+            acc = acc * x + c
+        return acc
+
+    return _range_of(spec, p)
+
+
+def floor_power_range(p: int, q: int) -> NumericalSet:
+    """{floor(x^(p/q)) : x in N} for a rational exponent p/q > 1."""
+    if q < 1 or Fraction(p, q) <= 1:
+        raise ValueError("floorpow needs exponent p/q > 1")
+    return _range_of(f"floorpow:{p}/{q}", lambda x: floor_power(x, p, q))
 
 
 def powers_of_two() -> NumericalSet:
@@ -294,19 +273,29 @@ def explicit(values) -> NumericalSet:
 def shifted(c: int, inner: NumericalSet) -> NumericalSet:
     if c < 0:
         raise ValueError("shift amount must be nonnegative")
-    return NumericalSet(f"shift:+{c}:{inner.spec}",
-                        lambda k: k >= c and inner.contains(k - c),
-                        lambda: (x + c for x in inner.iter_elements()),
-                        finite=inner.finite)
+    out = NumericalSet(f"shift:+{c}:{inner.spec}",
+                       lambda k: k >= c and inner.contains(k - c),
+                       lambda: (x + c for x in inner.iter_elements()),
+                       finite=inner.finite)
+    rest = inner.complement_of
+    if rest is not None:
+        # the naturals below c, then inner's complement shifted by c
+        out.complement_of = NumericalSet(
+            f"compl:{out.spec}", lambda k: k < c or rest.contains(k - c),
+            lambda: itertools.chain(range(c),
+                                    (x + c for x in rest.iter_elements())),
+            finite=rest.finite)
+    return out
 
 
 def complement(inner: NumericalSet) -> NumericalSet:
-    """The naturals not in inner; a complement's complement is enumerated
-    (and finite) as the set inside it is, with no scan."""
-    twice = inner.complement_of
-    if twice is not None:
-        out = NumericalSet(f"compl:{inner.spec}", twice.contains,
-                           twice.iter_elements, twice.finite)
+    """The naturals not in inner.  When inner knows its complement as a set
+    (inner is itself a complement, or a shift of a set that knows its
+    complement), that set is enumerated, finite or not, with no scan."""
+    known = inner.complement_of
+    if known is not None:
+        out = NumericalSet(f"compl:{inner.spec}", known.contains,
+                           known.iter_elements, known.finite)
     else:
         contains = lambda k: not inner.contains(k)
         out = NumericalSet(f"compl:{inner.spec}", contains,

@@ -10,7 +10,7 @@ with x<y / x<=y / x+y=z as sugar.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 
@@ -165,6 +165,15 @@ def _split(phi: Formula) -> tuple:
     raise TypeError(f"not a formula: {phi!r}")
 
 
+def _join(phi: Formula, children) -> Formula:
+    """The inverse of `_split`: phi's class and scalar fields around new
+    child formulas, given in `_split` order."""
+    scalars, _ = _split(phi)
+    if isinstance(phi, QApp):
+        return QApp(phi.qname, tuple(zip(scalars[1], children)))
+    return type(phi)(*scalars, *children)
+
+
 @dataclass(frozen=True)
 class Node:
     """One interned subformula.  `phi` is the first formula interned under
@@ -271,9 +280,11 @@ def subformulas(phi: Formula):
 # lexer
 
 
-TOKEN_RE = re.compile(r"""
+IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_']*")
+
+TOKEN_RE = re.compile(rf"""
     (?P<ws>\s+)
-  | (?P<ident>[A-Za-z_][A-Za-z0-9_']*)
+  | (?P<ident>{IDENT_RE.pattern})
   | (?P<op><->|->|<=|[()\.;:,=<+&|!#@])
 """, re.VERBOSE)
 
@@ -336,7 +347,7 @@ class Parser:
 
     def ident(self):
         tok = self.peek()
-        if not re.fullmatch(r"[A-Za-z_][A-Za-z0-9_']*", tok):
+        if not IDENT_RE.fullmatch(tok):
             raise ParseError(f"expected a name, found {tok!r}", self.pos())
         return self.next()
 
@@ -345,6 +356,14 @@ class Parser:
         if is_set_var(v):
             raise ParseError(f"{v!r} is not a first-order variable", self.pos())
         return v
+
+    def fo_vars(self) -> tuple:
+        """A comma-separated list of first-order variables."""
+        out = [self.fo_var()]
+        while self.peek() == ",":
+            self.next()
+            out.append(self.fo_var())
+        return tuple(out)
 
     # precedence chain ------------------------------------------------------
 
@@ -421,7 +440,7 @@ class Parser:
             return SetExists(sv, body) if tok == "EX" else SetForall(sv, body)
         if self.quants is not None and tok in self.quants:
             return self.qapp(self.next())
-        if (self.quants is None and re.fullmatch(r"[A-Za-z_][A-Za-z0-9_']*", tok)
+        if (self.quants is None and IDENT_RE.fullmatch(tok)
                 and tok not in RESERVED and self._looks_like_qapp()):
             return self.qapp(self.next())
         return self.prim()
@@ -436,7 +455,7 @@ class Parser:
                 t = self.toks[j][0]
                 if t == ".":
                     return True
-                if re.fullmatch(r"[A-Za-z_][A-Za-z0-9_']*", t) or t == ",":
+                if IDENT_RE.fullmatch(t) or t == ",":
                     j += 1
                     continue
                 return False
@@ -464,10 +483,7 @@ class Parser:
                 slots.append(self.slot())
             self.expect(")")
         else:
-            vars_ = [self.fo_var()]
-            while self.peek() == ",":
-                self.next()
-                vars_.append(self.fo_var())
+            vars_ = self.fo_vars()
             self.expect(".")
             slots = self.sugared_slots(qname, vars_)
         phi = QApp(qname, tuple(slots))
@@ -475,12 +491,9 @@ class Parser:
         return phi
 
     def slot(self):
-        vars_ = [self.fo_var()]
-        while self.peek() == ",":
-            self.next()
-            vars_.append(self.fo_var())
+        vars_ = self.fo_vars()
         self.expect(":")
-        return (tuple(vars_), self.formula())
+        return (vars_, self.formula())
 
     def sugared_slots(self, qname, vars_):
         # `Q x,y. (phi; psi)` distributes one variable per slot;
@@ -501,7 +514,7 @@ class Parser:
                         f"{len(bodies)} slot formulas", self.pos())
                 return [((v,), b) for v, b in zip(vars_, bodies)]
             self.i = save
-        return [(tuple(vars_), self.neg())]
+        return [(vars_, self.neg())]
 
     def check_qapp(self, phi: QApp):
         if self.quants is None:
@@ -527,19 +540,13 @@ class Parser:
                 self.next()
                 name = name + ":" + self.ident()
             self.expect("(")
-            args = [self.fo_var()]
-            while self.peek() == ",":
-                self.next()
-                args.append(self.fo_var())
+            args = self.fo_vars()
             self.expect(")")
-            return BuiltinAtom(name, tuple(args))
+            return BuiltinAtom(name, args)
         name = self.ident()
         if self.peek() == "(":
             self.next()
-            args = [self.fo_var()]
-            while self.peek() == ",":
-                self.next()
-                args.append(self.fo_var())
+            args = self.fo_vars()
             self.expect(")")
             # a set variable bound by an enclosing EX/AX shadows a
             # relation of the same name
@@ -549,7 +556,7 @@ class Parser:
                     raise ParseError(
                         f"{name} has arity {self.vocab[name]}, got {len(args)}",
                         self.pos())
-                return Atom(name, tuple(args))
+                return Atom(name, args)
             if bound or (is_set_var(name) and self.vocab is not None):
                 if len(args) != 1:
                     raise ParseError(f"set variable {name} applied to "
@@ -558,7 +565,7 @@ class Parser:
             if self.vocab is None:
                 # without a vocabulary every other application is read as
                 # a relation atom
-                return Atom(name, tuple(args))
+                return Atom(name, args)
             raise ParseError(f"unknown relation {name!r}", self.pos())
         # variable-led sugar: x=y, x<y, x<=y, x+y=z
         if is_set_var(name):

@@ -1,6 +1,12 @@
 """Syntactic transformations: capture-avoiding substitution, guard
 relativization, and the translation from first-order logic over a
-powerset-membership structure into monadic second-order logic on words."""
+powerset-membership structure into monadic second-order logic on words.
+
+Each transformation rewrites only atoms, binders and quantifier
+applications; every other node is rebuilt around its rewritten children
+through `syntax._split`/`syntax._join`.  Renaming is one walk,
+`rename_free`, which renames free variables and, in the same pass, gives
+a fresh name to every binder that would capture one of the new names."""
 
 from __future__ import annotations
 
@@ -8,7 +14,7 @@ from typing import Optional
 
 from .syntax import (And, Atom, BuiltinAtom, Count, Eq, Exists, Forall,
                      Formula, Iff, Imp, Not, Or, QApp, SetAtom, SetExists,
-                     SetForall, conj, free_variables)
+                     SetForall, _join, _split, conj, free_variables)
 
 
 class _Names:
@@ -23,89 +29,52 @@ class _Names:
         return f"{self.prefix}{self.k}'"
 
 
-def rename_free(phi: Formula, mapping: dict) -> Formula:
-    """Rename free first-order variables; bound occurrences shadow."""
+def rename_free(phi: Formula, mapping: dict, names: _Names) -> Formula:
+    """Rename free first-order variables through `mapping`, capture-avoiding:
+    a binder whose variable is a target of `mapping` gets a fresh name from
+    `names` (drawn in pre-order); any other binder shadows its variable."""
+    targets = set(mapping.values())
+
+    def bind(vs, mp):
+        inner = dict(mp)
+        for v in vs:
+            if v in targets:
+                inner[v] = names.fresh()
+            else:
+                inner.pop(v, None)
+        return tuple(inner.get(v, v) for v in vs), inner
+
     def go(phi, mp):
-        if isinstance(phi, Atom):
-            return Atom(phi.name, tuple(mp.get(v, v) for v in phi.args))
-        if isinstance(phi, BuiltinAtom):
-            return BuiltinAtom(phi.name, tuple(mp.get(v, v) for v in phi.args))
+        if isinstance(phi, (Atom, BuiltinAtom)):
+            return type(phi)(phi.name, tuple(mp.get(v, v) for v in phi.args))
         if isinstance(phi, Eq):
             return Eq(mp.get(phi.left, phi.left), mp.get(phi.right, phi.right))
         if isinstance(phi, SetAtom):
             return SetAtom(phi.setvar, mp.get(phi.arg, phi.arg))
-        if isinstance(phi, Not):
-            return Not(go(phi.sub, mp))
-        if isinstance(phi, (And, Or, Imp, Iff)):
-            return type(phi)(go(phi.left, mp), go(phi.right, mp))
         if isinstance(phi, (Exists, Forall)):
-            inner = {k: v for k, v in mp.items() if k != phi.var}
-            return type(phi)(phi.var, go(phi.sub, inner))
+            (v,), inner = bind((phi.var,), mp)
+            return type(phi)(v, go(phi.sub, inner))
         if isinstance(phi, Count):
-            inner = {k: v for k, v in mp.items() if k != phi.var}
-            return Count(phi.var, mp.get(phi.target, phi.target),
-                         go(phi.sub, inner))
+            (v,), inner = bind((phi.var,), mp)
+            return Count(v, mp.get(phi.target, phi.target), go(phi.sub, inner))
         if isinstance(phi, QApp):
             slots = []
             for vs, sub in phi.slots:
-                inner = {k: v for k, v in mp.items() if k not in vs}
-                slots.append((vs, go(sub, inner)))
+                new_vs, inner = bind(vs, mp)
+                slots.append((new_vs, go(sub, inner)))
             return QApp(phi.qname, tuple(slots))
-        if isinstance(phi, (SetExists, SetForall)):
-            return type(phi)(phi.setvar, go(phi.sub, mp))
-        raise TypeError(f"not a formula: {phi!r}")
+        return _join(phi, [go(c, mp) for c in _split(phi)[1]])
+
     return go(phi, dict(mapping))
-
-
-def rename_bound_apart(phi: Formula, avoid: set, names: _Names) -> Formula:
-    """Give every binder that clashes with `avoid` a fresh variable."""
-    def go(phi, mp):
-        if isinstance(phi, (Atom, BuiltinAtom, Eq, SetAtom)):
-            return rename_free(phi, mp)
-        if isinstance(phi, Not):
-            return Not(go(phi.sub, mp))
-        if isinstance(phi, (And, Or, Imp, Iff)):
-            return type(phi)(go(phi.left, mp), go(phi.right, mp))
-        if isinstance(phi, (Exists, Forall, Count)):
-            v = phi.var
-            mp2 = dict(mp)
-            if v in avoid:
-                v2 = names.fresh()
-                mp2[v] = v2
-                v = v2
-            else:
-                mp2.pop(phi.var, None)
-            if isinstance(phi, Count):
-                return Count(v, mp.get(phi.target, phi.target),
-                             go(phi.sub, mp2))
-            return type(phi)(v, go(phi.sub, mp2))
-        if isinstance(phi, QApp):
-            slots = []
-            for vs, sub in phi.slots:
-                mp2 = dict(mp)
-                new_vs = []
-                for v in vs:
-                    if v in avoid:
-                        v2 = names.fresh()
-                        mp2[v] = v2
-                        new_vs.append(v2)
-                    else:
-                        mp2.pop(v, None)
-                        new_vs.append(v)
-                slots.append((tuple(new_vs), go(sub, mp2)))
-            return QApp(phi.qname, tuple(slots))
-        if isinstance(phi, (SetExists, SetForall)):
-            return type(phi)(phi.setvar, go(phi.sub, mp))
-        raise TypeError(f"not a formula: {phi!r}")
-    return go(phi, {})
 
 
 def substitute(phi: Formula, defs: dict) -> Formula:
     """Replace relation atoms by defining formulas.
 
     `defs` maps relation names to (parameter tuple, body); each occurrence
-    R(t1,...,tk) becomes body[parameters := arguments] with the body's
-    binders renamed apart first.  Built-in atoms are never substituted.
+    R(t1,...,tk) becomes body[parameters := arguments], with the body's
+    binders that would capture an argument renamed apart.  Built-in atoms
+    are never substituted.
     """
     names = _Names("s")
 
@@ -116,23 +85,8 @@ def substitute(phi: Formula, defs: dict) -> Formula:
                 raise ValueError(
                     f"{phi.name}: definition takes {len(params)} arguments, "
                     f"atom has {len(phi.args)}")
-            safe = rename_bound_apart(body, set(phi.args), names)
-            return rename_free(safe, dict(zip(params, phi.args)))
-        if isinstance(phi, (Atom, BuiltinAtom, Eq, SetAtom)):
-            return phi
-        if isinstance(phi, Not):
-            return Not(go(phi.sub))
-        if isinstance(phi, (And, Or, Imp, Iff)):
-            return type(phi)(go(phi.left), go(phi.right))
-        if isinstance(phi, (Exists, Forall)):
-            return type(phi)(phi.var, go(phi.sub))
-        if isinstance(phi, Count):
-            return Count(phi.var, phi.target, go(phi.sub))
-        if isinstance(phi, QApp):
-            return QApp(phi.qname, tuple((vs, go(sub)) for vs, sub in phi.slots))
-        if isinstance(phi, (SetExists, SetForall)):
-            return type(phi)(phi.setvar, go(phi.sub))
-        raise TypeError(f"not a formula: {phi!r}")
+            return rename_free(body, dict(zip(params, phi.args)), names)
+        return _join(phi, [go(c) for c in _split(phi)[1]])
 
     return go(phi)
 
@@ -155,21 +109,14 @@ def relativize_formula(phi: Formula, guard: Formula, var: str,
     names = _Names("r")
 
     def guard_at(t: str) -> Formula:
-        safe = rename_bound_apart(guard, {t}, names)
-        return rename_free(safe, {var: t})
+        return rename_free(guard, {var: t}, names)
 
     def go(phi):
-        if isinstance(phi, (Atom, Eq, SetAtom)):
-            return phi
-        if isinstance(phi, BuiltinAtom):
-            if phi.name not in ORDER_BUILTINS:
-                raise ValueError(
-                    f"built-in {phi.name!r} does not survive relativization")
-            return phi
-        if isinstance(phi, Not):
-            return Not(go(phi.sub))
-        if isinstance(phi, (And, Or, Imp, Iff)):
-            return type(phi)(go(phi.left), go(phi.right))
+        if isinstance(phi, BuiltinAtom) and phi.name not in ORDER_BUILTINS:
+            raise ValueError(
+                f"built-in {phi.name!r} does not survive relativization")
+        if isinstance(phi, (Count, SetExists, SetForall)):
+            raise ValueError(f"cannot relativize {type(phi).__name__}")
         if isinstance(phi, Exists):
             return Exists(phi.var, And(guard_at(phi.var), go(phi.sub)))
         if isinstance(phi, Forall):
@@ -186,7 +133,7 @@ def relativize_formula(phi: Formula, guard: Formula, var: str,
                 guarded = conj([guard_at(v) for v in vs] + [go(sub)])
                 slots.append((vs, guarded))
             return QApp(phi.qname, tuple(slots))
-        raise TypeError(f"cannot relativize {type(phi).__name__}")
+        return _join(phi, [go(c) for c in _split(phi)[1]])
 
     return go(phi)
 
@@ -239,6 +186,8 @@ def mso_translate(phi: Formula, subset_vars: frozenset = frozenset(),
         return Exists(z, SetAtom(x_set, z))
 
     def go(phi, s):
+        if isinstance(phi, (Count, QApp, SetAtom, SetExists, SetForall)):
+            raise ValueError(f"cannot translate {type(phi).__name__}")
         if isinstance(phi, Eq):
             x, y = phi.left, phi.right
             if x not in s and y not in s:
@@ -269,10 +218,6 @@ def mso_translate(phi: Formula, subset_vars: frozenset = frozenset(),
             if x not in s and y in s:
                 return SetAtom(_setvar(y), x)
             return _falsum()
-        if isinstance(phi, Not):
-            return Not(go(phi.sub, s))
-        if isinstance(phi, (And, Or, Imp, Iff)):
-            return type(phi)(go(phi.left, s), go(phi.right, s))
         if isinstance(phi, Exists):
             x = phi.var
             point = Exists(x, go(phi.sub, s - {x}))
@@ -285,6 +230,6 @@ def mso_translate(phi: Formula, subset_vars: frozenset = frozenset(),
             as_set = SetForall(_setvar(x),
                                Imp(nonempty(_setvar(x)), go(phi.sub, s | {x})))
             return And(point, as_set)
-        raise TypeError(f"cannot translate {type(phi).__name__}")
+        return _join(phi, [go(c, s) for c in _split(phi)[1]])
 
     return go(phi, frozenset(subset_vars))

@@ -90,6 +90,19 @@ def test_double_complement_is_the_inner_set(monkeypatch, capsys):
     assert sets.parse_set_spec("compl:compl:list:1,2").finite
 
 
+def test_complement_behind_a_shift_is_finite(monkeypatch, capsys):
+    # compl:list:1,2 is {0, 3, 4, ...}, shifted by one {1, 4, 5, ...}, and
+    # its complement {0, 2, 3}; a scan would run past 3 to the horizon
+    monkeypatch.setattr(sets, "STEP_HORIZON", 10)
+    args = ["--n", "10", "--eps", "1/3"]
+    assert main(["analyze-set", "--set", "list:0,2,3", *args]) == 0
+    want = capsys.readouterr().out
+    spec = "compl:shift:+1:compl:list:1,2"
+    assert main(["analyze-set", "--set", spec, *args]) == 0
+    assert capsys.readouterr().out == want
+    assert sets.parse_set_spec(spec).finite
+
+
 def test_parse_command(capsys):
     assert main(["parse", "--formula", "E x. (P(x) & x < y)"]) == 0
     assert capsys.readouterr().out.strip() == "E x. (P(x) & @lt(x, y))"
@@ -147,6 +160,22 @@ def test_transform_subst(rel_model, capsys):
 def test_transform_rel_rejects_unsound(rel_model, capsys):
     assert main(["transform", "rel", "--formula", "E z. x + y = z",
                  "--model", rel_model, "--guard", "U(v)", "--var", "v"]) == 2
+
+
+@pytest.mark.parametrize("kind, formula", [
+    ("rel", "# x = y. U(x)"),
+    ("rel", "EX X. E x. X(x)"),
+    ("mso", "# x = y. E(x, y)"),
+    ("mso", "Maj(x: U(x))"),
+    ("mso", "EX X. E x. X(x)"),
+])
+def test_transform_of_uncovered_construct_is_usage_error(rel_model, capsys,
+                                                         kind, formula):
+    extra = ["--guard", "U(v)"] if kind == "rel" else []
+    assert main(["transform", kind, "--formula", formula,
+                 "--model", rel_model, *extra]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot ") and "Traceback" not in err
 
 
 def test_config_registers_sets_and_quantifiers(tmp_path, rel_model, capsys):

@@ -8,8 +8,8 @@ from fmlab.evaluator import define_relation, evaluate, evaluate_naive
 from fmlab.model import BrModel, powerset_structure, relativize, word_model
 from fmlab.randform import random_formula
 from fmlab.syntax import (Exists, Forall, Not, free_variables, parse, pretty)
-from fmlab.transforms import (mso_translate, relativize_formula, rename_free,
-                              substitute)
+from fmlab.transforms import (_Names, mso_translate, relativize_formula,
+                              rename_free, substitute)
 
 
 def fo_model(rng, n, arities):
@@ -165,5 +165,27 @@ def test_mso_translate_rejects_foreign_symbols():
 
 def test_rename_free_shadowing():
     phi = parse("U(x) & E x. U(x)", {"U": 1})
-    out = rename_free(phi, {"x": "y"})
+    out = rename_free(phi, {"x": "y"}, _Names())
     assert pretty(out) == "U(y) & E x. U(x)"
+
+
+# the generator names its binders b1, b2, ...; mapping a free variable onto
+# one of them threatens capture
+RENAME_TARGETS = ("x", "y", "b1", "b2")
+
+
+@given(st.integers(1, 4), st.integers(1, 3), st.randoms(use_true_random=False),
+       st.dictionaries(st.sampled_from(["x", "y"]),
+                       st.sampled_from(RENAME_TARGETS)))
+@settings(max_examples=150, deadline=None)
+def test_rename_free_avoids_capture(n, depth, rng, mp):
+    vocab = {"U": 1, "R": 2}
+    m = fo_model(rng, n, vocab)
+    phi = random_formula(rng, vocab, depth, ("x", "y"),
+                         quants=Q.registry_shapes(REL_QUANTS),
+                         allow_count=True)
+    out = rename_free(phi, mp, _Names())
+    a = {v: rng.randrange(n) for v in RENAME_TARGETS}
+    want = evaluate(m, phi, {v: a[mp.get(v, v)] for v in ("x", "y")},
+                    quantifiers=REL_QUANTS)
+    assert evaluate(m, out, a, quantifiers=REL_QUANTS) == want
