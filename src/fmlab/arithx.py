@@ -22,6 +22,8 @@ from .sets import NumericalSet, floor_nth_root, occurrence_set
 from .syntax import Formula, parse
 
 ARITH_VOCAB = {"A": 3, "M": 3}
+# the largest domain `mu_relation_oracle` evaluates the formula on
+ORACLE_CAP = 14
 
 MU_TEXT = """
 E t. E t1'. E u. E u1'. E v. E v1'. (
@@ -40,10 +42,10 @@ def mu_formula() -> Formula:
                  ARITH_VOCAB)
 
 
-def mu_relation_oracle(pm: PartialArithModel, cap: int = 14) -> frozenset:
+def mu_relation_oracle(pm: PartialArithModel) -> frozenset:
     """Direct evaluation of the extension formula; small domains only."""
-    if pm.n > cap:
-        raise ValueError(f"oracle evaluation capped at n <= {cap}")
+    if pm.n > ORACLE_CAP:
+        raise ValueError(f"oracle evaluation capped at n <= {ORACLE_CAP}")
     return define_relation(pm.as_br_model(), mu_formula(), ("x", "y", "z"))
 
 
@@ -137,10 +139,11 @@ def _width_witness(n: int, k: int, start):
 # start relations
 
 
-def seed_multiplication(n: int, a_star: int, height: Optional[int] = None,
-                        commutative: bool = True) -> PartialArithModel:
-    """Zero rows plus the complete product rectangle [0..a*] x [0..height];
-    the default height makes the k=3 width hypothesis hold."""
+def seed_multiplication(n: int, a_star: int, height: Optional[int] = None
+                        ) -> PartialArithModel:
+    """Zero rows plus the complete product rectangle [0..a*] x [0..height],
+    closed under commutativity; the default height makes the k=3 width
+    hypothesis hold."""
     if not 1 <= a_star < n:
         raise ValueError("a_star out of range")
     if height is None:
@@ -151,7 +154,7 @@ def seed_multiplication(n: int, a_star: int, height: Optional[int] = None,
     for a in range(1, a_star + 1):
         for b in range(1, height + 1):
             triples.add((a, b, a * b))
-    return partial_arith(n, triples, close_commutative=commutative)
+    return partial_arith(n, triples, close_commutative=True)
 
 
 def choose_seed(n: int, k: int = 3):

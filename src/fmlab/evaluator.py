@@ -2,8 +2,8 @@
 
 Three engines with one semantics:
 
-* `evaluate` — top-down with memoization on (interned subformula,
-  values of its free variables); the workhorse.
+* `evaluate` — top-down with memoization on (subformula, values of its
+  free variables); the workhorse.
 * `evaluate_naive` — the same top-down clauses with the memo off; a check
   on the memo keys.
 * `TruthTables` / `evaluate_fast` — bottom-up tables as numpy bool
@@ -11,8 +11,11 @@ Three engines with one semantics:
   sweeps, and the independent second route.  A table of more than
   `TABLE_CAP` cells is refused before it is built.
 
-Both engines run on `syntax.Interner` nodes, which carry each
-subformula's free variables.
+Both engines read each subformula's `kids`, `free` and `free_sets`,
+which a formula computes once when it is built (formulas are hash-consed,
+see `syntax.Formula`).  Before evaluating, every entry point refuses a
+quantifier application, anywhere in the formula, whose slot arities
+differ from its registry entry.
 
 Plus `ef_equivalent`, the r-round back-and-forth game.
 """
@@ -28,8 +31,8 @@ import numpy as np
 from . import model as modelmod, quantifiers as quantmod
 from .model import BrModel
 from .syntax import (And, Atom, BuiltinAtom, Count, Eq, Exists, Forall,
-                     Formula, Iff, Imp, Interner, Node, Not, Or, QApp, SetAtom,
-                     SetExists, SetForall)
+                     Formula, Iff, Imp, Not, Or, QApp, SetAtom, SetExists,
+                     SetForall)
 
 MSO_CAP = 16
 DEFAULT_BUDGET = 50_000_000
@@ -52,53 +55,57 @@ def default_quantifiers() -> dict:
     return _default_quants
 
 
-def _check_closed(node: Node, assignment, set_assignment):
-    missing = set(node.free) - set(assignment)
+def _check_shapes(phi: Formula, quantifiers: dict):
+    for qname, got in phi.shapes:
+        q = quantifiers.get(qname)
+        if q is not None and got != tuple(q.slot_arities):
+            raise ValueError(f"{qname} expects slot arities "
+                             f"{list(q.slot_arities)}, got {list(got)}")
+
+
+def _check_closed(phi: Formula, assignment, set_assignment):
+    missing = set(phi.free) - set(assignment)
     if missing:
         raise ValueError(f"unassigned variables: {sorted(missing)}")
-    missing = set(node.free_sets) - set(set_assignment)
+    missing = set(phi.free_sets) - set(set_assignment)
     if missing:
         raise ValueError(f"unassigned set variables: {sorted(missing)}")
 
 
 class _TopDown:
-    def __init__(self, m: BrModel, builtins, quantifiers, budget, mso_cap):
+    def __init__(self, m: BrModel, builtins, quantifiers, budget):
         self.m = m
         self.builtins = (builtins if builtins is not None
                          else modelmod.builtin_registry())
         self.quantifiers = (quantifiers if quantifiers is not None
                             else default_quantifiers())
         self.budget = budget
-        self.mso_cap = mso_cap
         self.ops = 0
         self.memo: dict = {}
-        self.interner = Interner(self.quantifiers)
-        self.nodes = self.interner.nodes
 
     def decide(self, phi, assignment, set_assignment) -> bool:
         a = dict(assignment or {})
         sa = {k: frozenset(v) for k, v in (set_assignment or {}).items()}
-        root = self.interner.intern(phi)
-        _check_closed(self.nodes[root], a, sa)
-        return self.run(root, a, sa)
+        _check_shapes(phi, self.quantifiers)
+        _check_closed(phi, a, sa)
+        return self.run(phi, a, sa)
 
-    def run(self, i, assignment, set_assignment) -> bool:
+    def run(self, phi, assignment, set_assignment) -> bool:
         self.ops += 1
         if self.budget is not None and self.ops > self.budget:
             raise BudgetExceeded(f"evaluation budget of {self.budget} exhausted")
-        node = self.nodes[i]
-        key = (i, tuple([assignment[v] for v in node.free]),
-               tuple([set_assignment[v] for v in node.free_sets]))
+        key = (phi, tuple([assignment[v] for v in phi.free]),
+               tuple([set_assignment[v] for v in phi.free_sets]))
         hit = self.memo.get(key)
         if hit is not None:
             return hit
-        out = self._eval(node, assignment, set_assignment)
+        out = self._eval(phi, assignment, set_assignment)
         self.memo[key] = out
         return out
 
-    def _eval(self, node, a, sa) -> bool:
+    def _eval(self, phi, a, sa) -> bool:
         m = self.m
-        phi, kids = node.phi, node.kids
+        kids = phi.kids
         if isinstance(phi, Atom):
             return tuple(a[v] for v in phi.args) in m.rels[phi.name]
         if isinstance(phi, BuiltinAtom):
@@ -137,10 +144,10 @@ class _TopDown:
                 rels.append(rel)
             return bool(q.decide(m.n, rels, m.f))
         if isinstance(phi, (SetExists, SetForall)):
-            if m.n > self.mso_cap:
+            if m.n > MSO_CAP:
                 raise BudgetExceeded(
                     f"set quantification needs 2^{m.n} subsets; cap is "
-                    f"2^{self.mso_cap}")
+                    f"2^{MSO_CAP}")
             universe = range(m.n)
             subsets = (frozenset(s) for r in range(m.n + 1)
                        for s in itertools.combinations(universe, r))
@@ -154,23 +161,22 @@ class _Naive(_TopDown):
     """The same clauses with the memo off: every subformula is evaluated
     afresh, so a wrong memo key shows as a disagreement."""
 
-    def run(self, i, assignment, set_assignment) -> bool:
-        return self._eval(self.nodes[i], assignment, set_assignment)
+    def run(self, phi, assignment, set_assignment) -> bool:
+        return self._eval(phi, assignment, set_assignment)
 
 
 def evaluate(m: BrModel, phi: Formula, assignment: Optional[dict] = None, *,
              builtins=None, quantifiers=None, set_assignment=None,
-             budget: Optional[int] = DEFAULT_BUDGET,
-             mso_cap: int = MSO_CAP) -> bool:
-    eng = _TopDown(m, builtins, quantifiers, budget, mso_cap)
+             budget: Optional[int] = DEFAULT_BUDGET) -> bool:
+    eng = _TopDown(m, builtins, quantifiers, budget)
     return eng.decide(phi, assignment, set_assignment)
 
 
 def evaluate_naive(m: BrModel, phi: Formula, assignment: Optional[dict] = None,
-                   *, builtins=None, quantifiers=None, set_assignment=None,
-                   mso_cap: int = MSO_CAP) -> bool:
+                   *, builtins=None, quantifiers=None,
+                   set_assignment=None) -> bool:
     """Reference evaluation: the top-down clauses with no memo."""
-    eng = _Naive(m, builtins, quantifiers, None, mso_cap)
+    eng = _Naive(m, builtins, quantifiers, None)
     return eng.decide(phi, assignment, set_assignment)
 
 
@@ -199,12 +205,12 @@ class TruthTables:
     """Bottom-up evaluation: for each subformula a pair (vars, array) where
     vars is the sorted tuple of free first-order variables and the bool
     array has one axis of length n per variable, axis i for vars[i]; a
-    sentence's array is 0-d.  Tables are memoized per interned node, and
-    each instance has its own interner, so a reused instance never
-    mistakes one formula for another."""
+    sentence's array is 0-d.  Tables are memoized per (subformula, values
+    of its free set variables); the key holds the formula itself, and
+    equal formulas are one object, so a reused instance never mistakes one
+    formula for another."""
 
-    def __init__(self, m: BrModel, builtins=None, quantifiers=None,
-                 mso_cap: int = MSO_CAP):
+    def __init__(self, m: BrModel, builtins=None, quantifiers=None):
         self.m = m
         self.n = m.n
         self.fvals = np.asarray(m.f, dtype=np.int64)
@@ -212,23 +218,20 @@ class TruthTables:
                          else modelmod.builtin_registry())
         self.quantifiers = (quantifiers if quantifiers is not None
                             else default_quantifiers())
-        self.mso_cap = mso_cap
         self.memo: dict = {}
-        self.interner = Interner(self.quantifiers)
-        self.nodes = self.interner.nodes
 
     def table(self, phi: Formula, set_assignment=None) -> tuple:
         sa = {k: frozenset(v) for k, v in (set_assignment or {}).items()}
-        return self._table(self.interner.intern(phi), sa)
+        _check_shapes(phi, self.quantifiers)
+        return self._table(phi, sa)
 
-    def _table(self, i, sa) -> tuple:
-        node = self.nodes[i]
-        key = (i, tuple([sa[v] for v in node.free_sets]))
+    def _table(self, phi, sa) -> tuple:
+        key = (phi, tuple([sa[v] for v in phi.free_sets]))
         hit = self.memo.get(key)
         if hit is not None:
             return hit
-        _check_cells(self.n, len(node.free))
-        out = node.free, self._build(node, sa)
+        _check_cells(self.n, len(phi.free))
+        out = phi.free, self._build(phi, sa)
         self.memo[key] = out
         return out
 
@@ -269,9 +272,9 @@ class TruthTables:
             return grids[0] * grids[1] == grids[2]
         return np.vectorize(rel.holds, otypes=[bool])(*grids)
 
-    def _build(self, node, sa) -> np.ndarray:
+    def _build(self, phi, sa) -> np.ndarray:
         n = self.n
-        phi, kids, vs = node.phi, node.kids, node.free
+        kids, vs = phi.kids, phi.free
         if isinstance(phi, Atom):
             return self._atom(vs, phi.args, self.m.rels[phi.name])
         if isinstance(phi, BuiltinAtom):
@@ -307,7 +310,7 @@ class TruthTables:
         if isinstance(phi, QApp):
             q = self.quantifiers[phi.qname]
             if q.sizes_decide is not None:
-                # unary slots (the interner checked the arities) with a
+                # unary slots (the entry point checked the arities) with a
                 # cardinality-only verdict: count witnesses along each
                 # bound axis and decide once per distinct size combination
                 counts = np.broadcast_arrays(*(
@@ -339,8 +342,8 @@ class TruthTables:
                 out[assign] = q.decide(n, rels, self.m.f)
             return out
         if isinstance(phi, (SetExists, SetForall)):
-            if n > self.mso_cap:
-                raise BudgetExceeded(f"set quantification cap is 2^{self.mso_cap}")
+            if n > MSO_CAP:
+                raise BudgetExceeded(f"set quantification cap is 2^{MSO_CAP}")
             subsets = (frozenset(s) for r in range(n + 1)
                        for s in itertools.combinations(range(n), r))
             tables = (self._table(kids[0], {**sa, phi.setvar: s})[1]
@@ -352,16 +355,15 @@ class TruthTables:
 
 
 def evaluate_fast(m: BrModel, phi: Formula, assignment=None, *,
-                  builtins=None, quantifiers=None, set_assignment=None,
-                  mso_cap: int = MSO_CAP) -> bool:
+                  builtins=None, quantifiers=None, set_assignment=None) -> bool:
     """Bottom-up evaluation; best when the formula is to be decided on the
     whole model (it computes full tables regardless of the assignment)."""
     assignment = dict(assignment or {})
     sa = {k: frozenset(v) for k, v in (set_assignment or {}).items()}
-    tt = TruthTables(m, builtins, quantifiers, mso_cap)
-    root = tt.interner.intern(phi)
-    _check_closed(tt.nodes[root], assignment, sa)
-    vs, arr = tt._table(root, sa)
+    tt = TruthTables(m, builtins, quantifiers)
+    _check_shapes(phi, tt.quantifiers)
+    _check_closed(phi, assignment, sa)
+    vs, arr = tt._table(phi, sa)
     return bool(arr[tuple(assignment[v] for v in vs)])
 
 
@@ -371,13 +373,13 @@ def define_relation(m: BrModel, phi: Formula, var_order, *, builtins=None,
     `var_order`; positions whose variable is not free range freely."""
     var_order = tuple(var_order)
     tt = TruthTables(m, builtins, quantifiers)
-    root = tt.interner.intern(phi)
-    if not set(tt.nodes[root].free) <= set(var_order):
+    _check_shapes(phi, tt.quantifiers)
+    if not set(phi.free) <= set(var_order):
         raise ValueError("var_order must cover the free variables")
     if len(set(var_order)) != len(var_order):
         raise ValueError("var_order repeats a variable")
     _check_cells(m.n, len(var_order))
-    arr = _align(tt._table(root, {}), var_order)
+    arr = _align(tt._table(phi, {}), var_order)
     arr = np.broadcast_to(arr, (m.n,) * len(var_order))
     return frozenset(map(tuple, np.argwhere(arr).tolist()))
 
@@ -390,21 +392,17 @@ EF_MAX_N = 12
 EF_MAX_ROUNDS = 4
 
 
-def ef_equivalent(m1: BrModel, m2: BrModel, rounds: int, *,
-                  builtins=None, builtin_names=("le",),
-                  max_n: int = EF_MAX_N,
-                  max_rounds: int = EF_MAX_ROUNDS) -> bool:
-    """Whether the duplicator wins the r-round game.  Built-ins named in
-    `builtin_names` take part as ordinary relations (read through each
-    model's permutation)."""
+def ef_equivalent(m1: BrModel, m2: BrModel, rounds: int) -> bool:
+    """Whether the duplicator wins the r-round game.  The order built-in
+    `le` takes part as an ordinary relation (read through each model's
+    permutation)."""
     if m1.arities != m2.arities:
         raise ValueError("models must share a vocabulary")
-    if max(m1.n, m2.n) > max_n:
-        raise ValueError(f"game solver capped at n <= {max_n}")
-    if rounds > max_rounds:
-        raise ValueError(f"game solver capped at {max_rounds} rounds")
-    builtins = builtins if builtins is not None else modelmod.builtin_registry()
-    named = [(builtins[nm], builtins[nm].arity) for nm in builtin_names]
+    if max(m1.n, m2.n) > EF_MAX_N:
+        raise ValueError(f"game solver capped at n <= {EF_MAX_N}")
+    if rounds > EF_MAX_ROUNDS:
+        raise ValueError(f"game solver capped at {EF_MAX_ROUNDS} rounds")
+    le = modelmod.builtin_registry()["le"]
     memo: dict = {}
 
     def partial_iso(pairs) -> bool:
@@ -421,12 +419,9 @@ def ef_equivalent(m1: BrModel, m2: BrModel, rounds: int, *,
                 t2 = tuple(b for _, b in combo)
                 if (t1 in r1) != (t2 in r2):
                     return False
-        for rel, ar in named:
-            for combo in itertools.product(pl, repeat=ar):
-                t1 = tuple(a for a, _ in combo)
-                t2 = tuple(b for _, b in combo)
-                if rel.eval_on(m1, t1) != rel.eval_on(m2, t2):
-                    return False
+        for (a1, b1), (a2, b2) in itertools.product(pl, repeat=2):
+            if le.eval_on(m1, (a1, a2)) != le.eval_on(m2, (b1, b2)):
+                return False
         return True
 
     def win(pairs: frozenset, r: int) -> bool:

@@ -224,12 +224,12 @@ def model_word(m: BrModel, letters) -> Optional[str]:
 POWERSET_CAP = 5
 
 
-def powerset_structure(k: int, cap: int = POWERSET_CAP) -> BrModel:
+def powerset_structure(k: int) -> BrModel:
     """k atom points followed by the 2^k-1 nonempty subsets in lexicographic
     order (atom 0 most significant); E relates each atom to the subsets
     containing it."""
-    if not 1 <= k <= cap:
-        raise ValueError(f"k must be in 1..{cap}")
+    if not 1 <= k <= POWERSET_CAP:
+        raise ValueError(f"k must be in 1..{POWERSET_CAP}")
     subsets = sorted((tuple(1 if i in s else 0 for i in range(k))
                       for r in range(1, k + 1)
                       for s in map(frozenset, itertools.combinations(range(k), r))),

@@ -32,19 +32,24 @@ class Quantifier:
             raise ValueError("sizes_decide requires all-unary slots")
 
 
+def _counting(name: str, arities: tuple, sizes_decide: Callable,
+              **flags) -> Quantifier:
+    """A quantifier whose verdict depends only on its unary slots' sizes:
+    `decide` applies `sizes_decide` to them."""
+    return Quantifier(
+        name, arities, lambda n, rels, f: sizes_decide(n, tuple(map(len, rels))),
+        sizes_decide=sizes_decide, **flags)
+
+
 def cardinality(s: NumericalSet, name: Optional[str] = None) -> Quantifier:
-    name = name or f"C_{s.spec}"
-    return Quantifier(name, (1,),
-                      lambda n, rels, f: len(rels[0]) in s,
-                      universe_independent=True, order_invariant=True,
-                      sizes_decide=lambda n, sizes: sizes[0] in s)
+    return _counting(name or f"C_{s.spec}", (1,),
+                     lambda n, sizes: sizes[0] in s,
+                     universe_independent=True, order_invariant=True)
 
 
 def hartig() -> Quantifier:
-    return Quantifier("I", (1, 1),
-                      lambda n, rels, f: len(rels[0]) == len(rels[1]),
-                      universe_independent=True, order_invariant=True,
-                      sizes_decide=lambda n, sizes: sizes[0] == sizes[1])
+    return _counting("I", (1, 1), lambda n, sizes: sizes[0] == sizes[1],
+                     universe_independent=True, order_invariant=True)
 
 
 def _divides(a: int, b: int) -> bool:
@@ -53,26 +58,20 @@ def _divides(a: int, b: int) -> bool:
 
 
 def divisibility() -> Quantifier:
-    return Quantifier("D", (1, 1),
-                      lambda n, rels, f: _divides(len(rels[0]), len(rels[1])),
-                      universe_independent=True, order_invariant=True,
-                      sizes_decide=lambda n, sizes: _divides(sizes[0], sizes[1]))
+    return _counting("D", (1, 1), lambda n, sizes: _divides(*sizes),
+                     universe_independent=True, order_invariant=True)
 
 
 def divisibility_by(m: int) -> Quantifier:
     if m < 1:
         raise ValueError("modulus must be positive")
-    return Quantifier(f"D_{m}", (1,),
-                      lambda n, rels, f: len(rels[0]) % m == 0,
-                      universe_independent=True, order_invariant=True,
-                      sizes_decide=lambda n, sizes: sizes[0] % m == 0)
+    return _counting(f"D_{m}", (1,), lambda n, sizes: sizes[0] % m == 0,
+                     universe_independent=True, order_invariant=True)
 
 
 def majority() -> Quantifier:
-    return Quantifier("Maj", (1,),
-                      lambda n, rels, f: 2 * len(rels[0]) > n,
-                      order_invariant=True,
-                      sizes_decide=lambda n, sizes: 2 * sizes[0] > n)
+    return _counting("Maj", (1,), lambda n, sizes: 2 * sizes[0] > n,
+                     order_invariant=True)
 
 
 def majority_pairs() -> Quantifier:
@@ -82,10 +81,8 @@ def majority_pairs() -> Quantifier:
 
 
 def exists_nonempty() -> Quantifier:
-    return Quantifier("Some", (1,),
-                      lambda n, rels, f: len(rels[0]) > 0,
-                      universe_independent=True, order_invariant=True,
-                      sizes_decide=lambda n, sizes: sizes[0] > 0)
+    return _counting("Some", (1,), lambda n, sizes: sizes[0] > 0,
+                     universe_independent=True, order_invariant=True)
 
 
 # ---------------------------------------------------------------------------
@@ -283,10 +280,8 @@ def b_set_quantifier(rel: NumericalRelation) -> Quantifier:
             return False
         return bool(rel.holds(*(s - 1 for s in sizes)))
 
-    return Quantifier(f"B_{rel.name}", tuple(1 for _ in range(k)),
-                      lambda n, rels, f: sizes_decide(n, [len(r) for r in rels]),
-                      universe_independent=True, order_invariant=True,
-                      sizes_decide=sizes_decide)
+    return _counting(f"B_{rel.name}", (1,) * k, sizes_decide,
+                     universe_independent=True, order_invariant=True)
 
 
 def powerset_quantifier() -> Quantifier:

@@ -9,82 +9,159 @@ with x<y / x<=y / x+y=z as sugar.
 
 from __future__ import annotations
 
+import functools
 import re
+import weakref
 from dataclasses import dataclass
 from typing import Optional
 
+# every live formula, keyed by (class, *fields)
+_TABLE: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+# fields are set once, by Formula.__new__; equality is identity
+_node = dataclass(frozen=True, eq=False, init=False)
 
-@dataclass(frozen=True)
+
+@_node
 class Formula:
-    pass
+    """A formula is hash-consed when it is built (Filliatre & Conchon,
+    Type-Safe Modular Hash-Consing, 2006): building one structurally equal
+    to a live formula returns that formula, so equality and hashing are by
+    identity.  On first construction each formula computes, once:
+
+    * `kids`, its child formulas;
+    * `free` and `free_sets`, its sorted free first-order and set
+      variables;
+    * `shapes`, the sorted (name, slot arities) of the quantifier
+      applications inside it."""
+
+    def __new__(cls, *fields):
+        names = cls.__match_args__
+        if len(fields) != len(names):
+            raise TypeError(f"{cls.__name__} takes fields {names}")
+        key = (cls, *fields)
+        phi = _TABLE.get(key)
+        if phi is None:
+            phi = object.__new__(cls)
+            d = vars(phi)
+            d.update(zip(names, fields))
+            d["kids"], d["free"], d["free_sets"], d["shapes"] = \
+                phi._scope(fields)
+            _TABLE[key] = phi
+        return phi
+
+    def __reduce__(self):
+        # unpickling and copying build the formula again: the live one
+        return type(self), self._fields()
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__match_args__)
+
+    def _scope(self, fields) -> tuple:
+        """The binding rules: (kids, free, free_sets, shapes) from the
+        children's."""
+        if isinstance(self, (Atom, BuiltinAtom)):
+            return (), tuple(sorted(set(self.args))), (), ()
+        if isinstance(self, Eq):
+            return (), tuple(sorted({self.left, self.right})), (), ()
+        if isinstance(self, SetAtom):
+            return (), (self.arg,), (self.setvar,), ()
+        if isinstance(self, QApp):
+            for vs, _ in self.slots:
+                if len(set(vs)) != len(vs):
+                    raise ValueError(f"slot variables must be distinct: {vs}")
+            kids = tuple([sub for _, sub in self.slots])
+            free = _union(*[tuple([v for v in k.free if v not in vs])
+                            for (vs, _), k in zip(self.slots, kids)])
+            shape = (self.qname, tuple([len(vs) for vs, _ in self.slots]))
+            return (kids, free, _union(*[k.free_sets for k in kids]),
+                    _union((shape,), *[k.shapes for k in kids]))
+        kids = tuple([v for v in fields if isinstance(v, Formula)])
+        free = _union(*[k.free for k in kids])
+        free_sets = _union(*[k.free_sets for k in kids])
+        if isinstance(self, (Exists, Forall, Count)):
+            free = tuple([v for v in free if v != self.var])
+        if isinstance(self, Count):
+            free = _union(free, (self.target,))
+        if isinstance(self, (SetExists, SetForall)):
+            free_sets = tuple([v for v in free_sets if v != self.setvar])
+        return kids, free, free_sets, _union(*[k.shapes for k in kids])
 
 
-@dataclass(frozen=True)
+def _union(*parts) -> tuple:
+    """The sorted union of sorted tuples."""
+    out = ()
+    for part in parts:
+        if part and part != out:
+            out = tuple(sorted({*out, *part})) if out else part
+    return out
+
+
+@_node
 class Atom(Formula):
     name: str
     args: tuple
 
 
-@dataclass(frozen=True)
+@_node
 class BuiltinAtom(Formula):
     name: str
     args: tuple
 
 
-@dataclass(frozen=True)
+@_node
 class Eq(Formula):
     left: str
     right: str
 
 
-@dataclass(frozen=True)
+@_node
 class SetAtom(Formula):
     setvar: str
     arg: str
 
 
-@dataclass(frozen=True)
+@_node
 class Not(Formula):
     sub: Formula
 
 
-@dataclass(frozen=True)
+@_node
 class And(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True)
+@_node
 class Or(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True)
+@_node
 class Imp(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True)
+@_node
 class Iff(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True)
+@_node
 class Exists(Formula):
     var: str
     sub: Formula
 
 
-@dataclass(frozen=True)
+@_node
 class Forall(Formula):
     var: str
     sub: Formula
 
 
-@dataclass(frozen=True)
+@_node
 class Count(Formula):
     """#x=y.sub — the number of witnesses for x equals the value of y."""
     var: str
@@ -92,26 +169,21 @@ class Count(Formula):
     sub: Formula
 
 
-@dataclass(frozen=True)
+@_node
 class QApp(Formula):
     """Application of a named generalized quantifier; each slot binds a
     tuple of distinct variables in its own subformula."""
     qname: str
     slots: tuple  # of (vars tuple, Formula)
 
-    def __post_init__(self):
-        for vs, _ in self.slots:
-            if len(set(vs)) != len(vs):
-                raise ValueError(f"slot variables must be distinct: {vs}")
 
-
-@dataclass(frozen=True)
+@_node
 class SetExists(Formula):
     setvar: str
     sub: Formula
 
 
-@dataclass(frozen=True)
+@_node
 class SetForall(Formula):
     setvar: str
     sub: Formula
@@ -121,143 +193,37 @@ def conj(parts):
     parts = list(parts)
     if not parts:
         raise ValueError("empty conjunction")
-    out = parts[0]
-    for p in parts[1:]:
-        out = And(out, p)
-    return out
+    return functools.reduce(And, parts)
 
 
 def disj(parts):
     parts = list(parts)
     if not parts:
         raise ValueError("empty disjunction")
-    out = parts[0]
-    for p in parts[1:]:
-        out = Or(out, p)
-    return out
+    return functools.reduce(Or, parts)
 
 
 def is_set_var(name: str) -> bool:
     return bool(name) and name[0].isupper()
 
 
-def _split(phi: Formula) -> tuple:
-    """(scalar fields, child formulas) of one AST node."""
-    if isinstance(phi, (Atom, BuiltinAtom)):
-        return (phi.name, phi.args), ()
-    if isinstance(phi, Eq):
-        return (phi.left, phi.right), ()
-    if isinstance(phi, SetAtom):
-        return (phi.setvar, phi.arg), ()
-    if isinstance(phi, Not):
-        return (), (phi.sub,)
-    if isinstance(phi, (And, Or, Imp, Iff)):
-        return (), (phi.left, phi.right)
-    if isinstance(phi, (Exists, Forall)):
-        return (phi.var,), (phi.sub,)
-    if isinstance(phi, Count):
-        return (phi.var, phi.target), (phi.sub,)
-    if isinstance(phi, QApp):
-        return ((phi.qname, tuple(vs for vs, _ in phi.slots)),
-                tuple(sub for _, sub in phi.slots))
-    if isinstance(phi, (SetExists, SetForall)):
-        return (phi.setvar,), (phi.sub,)
-    raise TypeError(f"not a formula: {phi!r}")
-
-
 def _join(phi: Formula, children) -> Formula:
-    """The inverse of `_split`: phi's class and scalar fields around new
-    child formulas, given in `_split` order."""
-    scalars, _ = _split(phi)
+    """phi's class and scalar fields around new child formulas, given in
+    `kids` order."""
     if isinstance(phi, QApp):
-        return QApp(phi.qname, tuple(zip(scalars[1], children)))
+        return QApp(phi.qname, tuple((vs, sub) for (vs, _), sub
+                                     in zip(phi.slots, children)))
+    scalars = [v for v in phi._fields() if not isinstance(v, Formula)]
     return type(phi)(*scalars, *children)
-
-
-@dataclass(frozen=True)
-class Node:
-    """One interned subformula.  `phi` is the first formula interned under
-    this node's key; read its class and scalar fields, and reach its
-    children through `kids`, the child node ids."""
-    phi: Formula
-    kids: tuple
-    free: tuple       # sorted free first-order variables
-    free_sets: tuple  # sorted free set variables
-
-
-class Interner:
-    """Hash-consing (Filliatre & Conchon, Type-Safe Modular Hash-Consing,
-    2006): structurally equal subformulas share one node.  A node's key is
-    its class, its scalar fields and its child ids, so a lookup costs O(1)
-    per node and never depends on object identity.  Given a quantifier
-    registry, each application's slot arities are checked against it."""
-
-    def __init__(self, quantifiers: Optional[dict] = None):
-        self.quantifiers = quantifiers
-        self.nodes: list[Node] = []
-        self._ids: dict = {}
-
-    def intern(self, phi: Formula) -> int:
-        scalars, children = _split(phi)
-        kids = tuple([self.intern(c) for c in children])
-        key = (type(phi), scalars, kids)
-        i = self._ids.get(key)
-        if i is None:
-            if isinstance(phi, QApp):
-                self._check_slots(phi)
-            i = len(self.nodes)
-            self.nodes.append(Node(phi, kids, *self._scope(phi, kids)))
-            self._ids[key] = i
-        return i
-
-    def _check_slots(self, phi: QApp):
-        q = self.quantifiers.get(phi.qname) if self.quantifiers else None
-        got = [len(vs) for vs, _ in phi.slots]
-        if q is not None and got != list(q.slot_arities):
-            raise ValueError(f"{phi.qname} expects slot arities "
-                             f"{list(q.slot_arities)}, got {got}")
-
-    def _scope(self, phi: Formula, kids: tuple) -> tuple:
-        """The binding rules: free first-order and set variables from the
-        children's."""
-        if isinstance(phi, (Atom, BuiltinAtom)):
-            return tuple(sorted(set(phi.args))), ()
-        if isinstance(phi, Eq):
-            return tuple(sorted({phi.left, phi.right})), ()
-        if isinstance(phi, SetAtom):
-            return (phi.arg,), (phi.setvar,)
-        subs = [self.nodes[k] for k in kids]
-        if isinstance(phi, Not):
-            return subs[0].free, subs[0].free_sets
-        fo, so = set(), set()
-        for s in subs:
-            fo.update(s.free)
-            so.update(s.free_sets)
-        if isinstance(phi, (Exists, Forall)):
-            fo.discard(phi.var)
-        elif isinstance(phi, Count):
-            fo.discard(phi.var)
-            fo.add(phi.target)
-        elif isinstance(phi, QApp):
-            fo = set().union(*(set(s.free) - set(vs)
-                               for (vs, _), s in zip(phi.slots, subs)))
-        elif isinstance(phi, (SetExists, SetForall)):
-            so.discard(phi.setvar)
-        return tuple(sorted(fo)), tuple(sorted(so))
-
-
-def _root(phi: Formula) -> Node:
-    interner = Interner()
-    return interner.nodes[interner.intern(phi)]
 
 
 def free_variables(phi: Formula) -> set[str]:
     """Free first-order variables."""
-    return set(_root(phi).free)
+    return set(phi.free)
 
 
 def free_set_variables(phi: Formula) -> set[str]:
-    return set(_root(phi).free_sets)
+    return set(phi.free_sets)
 
 
 _BINDERS = (Exists, Forall, Count, QApp, SetExists, SetForall)
@@ -266,13 +232,14 @@ _BINDERS = (Exists, Forall, Count, QApp, SetExists, SetForall)
 def quantifier_rank(phi: Formula) -> int:
     """Nesting depth; every binder (including a generalized-quantifier
     application, whatever its tuple widths) counts one."""
-    inner = max(map(quantifier_rank, _split(phi)[1]), default=0)
+    inner = max(map(quantifier_rank, phi.kids), default=0)
     return inner + (1 if isinstance(phi, _BINDERS) else 0)
 
 
 def subformulas(phi: Formula):
+    """Every subformula occurrence, in pre-order, repeats included."""
     yield phi
-    for sub in _split(phi)[1]:
+    for sub in phi.kids:
         yield from subformulas(sub)
 
 
@@ -310,6 +277,12 @@ def tokenize(text: str):
 
 
 RESERVED = {"E", "A", "EX", "AX"}
+
+# binary connectives, loosest first: token -> (class, precedence level);
+# a negation or a binder binds tighter than all of them
+_BINARY = {"<->": (Iff, 0), "->": (Imp, 1), "|": (Or, 2), "&": (And, 3)}
+_TOKEN = {cls: (tok, level) for tok, (cls, level) in _BINARY.items()}
+_LEVEL_NEG = len(_BINARY)
 
 # nesting levels (negations, binders, parentheses) a formula may have
 MAX_DEPTH = 100
@@ -365,37 +338,13 @@ class Parser:
             out.append(self.fo_var())
         return tuple(out)
 
-    # precedence chain ------------------------------------------------------
-
-    def formula(self) -> Formula:
-        return self.iff()
-
-    def iff(self) -> Formula:
-        out = self.imp()
-        while self.peek() == "<->":
-            self.next()
-            out = Iff(out, self.imp())
-        return out
-
-    def imp(self) -> Formula:
-        out = self.or_()
-        while self.peek() == "->":
-            self.next()
-            out = Imp(out, self.or_())
-        return out
-
-    def or_(self) -> Formula:
-        out = self.and_()
-        while self.peek() == "|":
-            self.next()
-            out = Or(out, self.and_())
-        return out
-
-    def and_(self) -> Formula:
+    def formula(self, level: int = 0) -> Formula:
+        """Binary connectives of at least `level` (see `_BINARY`), by
+        precedence climbing; each associates to the left."""
         out = self.neg()
-        while self.peek() == "&":
-            self.next()
-            out = And(out, self.neg())
+        while self.peek() in _BINARY and _BINARY[self.peek()][1] >= level:
+            cls, own = _BINARY[self.next()]
+            out = cls(out, self.formula(own + 1))
         return out
 
     def neg(self) -> Formula:
@@ -600,12 +549,10 @@ def parse(text: str, vocab: Optional[dict] = None,
 # ---------------------------------------------------------------------------
 # printer
 
-_LEVEL_IFF, _LEVEL_IMP, _LEVEL_OR, _LEVEL_AND, _LEVEL_NEG = range(5)
-
 
 def pretty(phi: Formula) -> str:
-    """Canonical text; parse(pretty(phi)) is structurally phi."""
-    return _pp(phi, _LEVEL_IFF)
+    """Canonical text; parse(pretty(phi)) is phi."""
+    return _pp(phi, 0)
 
 
 def _paren(text: str, need: bool) -> str:
@@ -621,18 +568,10 @@ def _pp(phi: Formula, level: int) -> str:
         return f"{phi.left} = {phi.right}"
     if isinstance(phi, SetAtom):
         return f"{phi.setvar}({phi.arg})"
-    if isinstance(phi, Iff):
-        return _paren(f"{_pp(phi.left, _LEVEL_IFF)} <-> {_pp(phi.right, _LEVEL_IMP)}",
-                      level > _LEVEL_IFF)
-    if isinstance(phi, Imp):
-        return _paren(f"{_pp(phi.left, _LEVEL_IMP)} -> {_pp(phi.right, _LEVEL_OR)}",
-                      level > _LEVEL_IMP)
-    if isinstance(phi, Or):
-        return _paren(f"{_pp(phi.left, _LEVEL_OR)} | {_pp(phi.right, _LEVEL_AND)}",
-                      level > _LEVEL_OR)
-    if isinstance(phi, And):
-        return _paren(f"{_pp(phi.left, _LEVEL_AND)} & {_pp(phi.right, _LEVEL_NEG)}",
-                      level > _LEVEL_AND)
+    if type(phi) in _TOKEN:
+        tok, own = _TOKEN[type(phi)]
+        return _paren(f"{_pp(phi.left, own)} {tok} {_pp(phi.right, own + 1)}",
+                      level > own)
     if isinstance(phi, Not):
         return f"!{_pp(phi.sub, _LEVEL_NEG)}"
     if isinstance(phi, Exists):
@@ -646,7 +585,7 @@ def _pp(phi: Formula, level: int) -> str:
     if isinstance(phi, SetForall):
         return f"AX {phi.setvar}. {_pp(phi.sub, _LEVEL_NEG)}"
     if isinstance(phi, QApp):
-        slots = "; ".join(f"{', '.join(vs)}: {_pp(sub, _LEVEL_IFF)}"
+        slots = "; ".join(f"{', '.join(vs)}: {_pp(sub, 0)}"
                           for vs, sub in phi.slots)
         return f"{phi.qname}({slots})"
     raise TypeError(f"not a formula: {phi!r}")

@@ -3,10 +3,11 @@ relativization, and the translation from first-order logic over a
 powerset-membership structure into monadic second-order logic on words.
 
 Each transformation rewrites only atoms, binders and quantifier
-applications; every other node is rebuilt around its rewritten children
-through `syntax._split`/`syntax._join`.  Renaming is one walk,
-`rename_free`, which renames free variables and, in the same pass, gives
-a fresh name to every binder that would capture one of the new names."""
+applications; every other node is rebuilt around its rewritten `kids`
+through `syntax._join`.  Renaming is one walk, `rename_free`, which
+renames free variables and, in the same pass, gives a fresh name to every
+binder that would capture one of the new names.  A fresh name never
+equals a variable written in the call's input formulas."""
 
 from __future__ import annotations
 
@@ -14,19 +15,40 @@ from typing import Optional
 
 from .syntax import (And, Atom, BuiltinAtom, Count, Eq, Exists, Forall,
                      Formula, Iff, Imp, Not, Or, QApp, SetAtom, SetExists,
-                     SetForall, _join, _split, conj, free_variables)
+                     SetForall, _join, conj, free_variables)
 
 
 class _Names:
-    """Deterministic fresh-name supply."""
+    """Deterministic fresh-name supply.  A name never equals a variable
+    written in `inputs`, the call's input formulas; those are collected
+    once, when the first name is drawn."""
 
-    def __init__(self, prefix: str = "v"):
+    def __init__(self, prefix: str = "v", inputs=()):
         self.prefix = prefix
+        self.inputs = inputs
+        self.taken = None
         self.k = 0
 
     def fresh(self) -> str:
-        self.k += 1
-        return f"{self.prefix}{self.k}'"
+        if self.taken is None:
+            self.taken = set().union(*map(_written, self.inputs))
+        while True:
+            self.k += 1
+            name = f"{self.prefix}{self.k}'"
+            if name not in self.taken:
+                return name
+
+
+def _written(phi: Formula) -> set:
+    """Every first-order variable written in phi, free or bound."""
+    out = set(phi.free)
+    if isinstance(phi, (Exists, Forall, Count)):
+        out.add(phi.var)
+    elif isinstance(phi, QApp):
+        out.update(v for vs, _ in phi.slots for v in vs)
+    for sub in phi.kids:
+        out |= _written(sub)
+    return out
 
 
 def rename_free(phi: Formula, mapping: dict, names: _Names) -> Formula:
@@ -63,7 +85,7 @@ def rename_free(phi: Formula, mapping: dict, names: _Names) -> Formula:
                 new_vs, inner = bind(vs, mp)
                 slots.append((new_vs, go(sub, inner)))
             return QApp(phi.qname, tuple(slots))
-        return _join(phi, [go(c, mp) for c in _split(phi)[1]])
+        return _join(phi, [go(c, mp) for c in phi.kids])
 
     return go(phi, dict(mapping))
 
@@ -76,7 +98,11 @@ def substitute(phi: Formula, defs: dict) -> Formula:
     binders that would capture an argument renamed apart.  Built-in atoms
     are never substituted.
     """
-    names = _Names("s")
+    for name, (params, _) in defs.items():
+        if len(set(params)) != len(params):
+            raise ValueError(f"cannot substitute {name}: repeated parameter "
+                             f"in {', '.join(params)}")
+    names = _Names("s", [phi, *(body for _, body in defs.values())])
 
     def go(phi):
         if isinstance(phi, Atom) and phi.name in defs:
@@ -86,7 +112,7 @@ def substitute(phi: Formula, defs: dict) -> Formula:
                     f"{phi.name}: definition takes {len(params)} arguments, "
                     f"atom has {len(phi.args)}")
             return rename_free(body, dict(zip(params, phi.args)), names)
-        return _join(phi, [go(c) for c in _split(phi)[1]])
+        return _join(phi, [go(c) for c in phi.kids])
 
     return go(phi)
 
@@ -106,7 +132,7 @@ def relativize_formula(phi: Formula, guard: Formula, var: str,
     """
     if free_variables(guard) - {var}:
         raise ValueError("guard may use only the designated variable")
-    names = _Names("r")
+    names = _Names("r", [phi, guard])
 
     def guard_at(t: str) -> Formula:
         return rename_free(guard, {var: t}, names)
@@ -133,7 +159,7 @@ def relativize_formula(phi: Formula, guard: Formula, var: str,
                 guarded = conj([guard_at(v) for v in vs] + [go(sub)])
                 slots.append((vs, guarded))
             return QApp(phi.qname, tuple(slots))
-        return _join(phi, [go(c) for c in _split(phi)[1]])
+        return _join(phi, [go(c) for c in phi.kids])
 
     return go(phi)
 
@@ -170,14 +196,14 @@ def _lex_le(x_set: str, y_set: str, names: _Names) -> Formula:
     return Or(equal, first_diff)
 
 
-def mso_translate(phi: Formula, subset_vars: frozenset = frozenset(),
-                  membership_rel: str = "E") -> Formula:
-    """Translate a first-order formula over the membership vocabulary into
-    monadic second-order logic over the bare word.
+def mso_translate(phi: Formula) -> Formula:
+    """Translate a first-order formula over the membership vocabulary
+    {E/2} into monadic second-order logic over the bare word.
 
-    Variables in `subset_vars` denote subset-sort elements and become the
-    corresponding set variables; set quantification ranges over nonempty
-    sets only, mirroring the subset sort.
+    Each quantified variable ranges over atoms and over subset-sort
+    elements; as a subset-sort element it becomes the set variable X_v,
+    and set quantification ranges over nonempty sets only, mirroring the
+    subset sort.
     """
     names = _Names("m")
 
@@ -212,7 +238,7 @@ def mso_translate(phi: Formula, subset_vars: frozenset = frozenset(),
                 return _falsum()
             return _lex_le(_setvar(x), _setvar(y), names)
         if isinstance(phi, Atom):
-            if phi.name != membership_rel:
+            if phi.name != "E":
                 raise ValueError(f"unexpected relation {phi.name!r}")
             x, y = phi.args
             if x not in s and y in s:
@@ -230,6 +256,6 @@ def mso_translate(phi: Formula, subset_vars: frozenset = frozenset(),
             as_set = SetForall(_setvar(x),
                                Imp(nonempty(_setvar(x)), go(phi.sub, s | {x})))
             return And(point, as_set)
-        return _join(phi, [go(c, s) for c in _split(phi)[1]])
+        return _join(phi, [go(c, s) for c in phi.kids])
 
-    return go(phi, frozenset(subset_vars))
+    return go(phi, frozenset())

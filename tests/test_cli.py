@@ -1,3 +1,8 @@
+import os
+import re
+import subprocess
+import sys
+
 import pytest
 
 from fmlab import arithx, cli, sets
@@ -157,6 +162,21 @@ def test_transform_subst(rel_model, capsys):
     assert capsys.readouterr().out.strip() == "E x. E y. E(x, y)"
 
 
+@pytest.mark.parametrize("body, want", [
+    ("E x. E s1'. T(p, x, s1')", "E s2'. E s1'. T(x, s2', s1')"),
+    ("E x. (R(p, x) & U(s1'))", "E s2'. (R(x, s2') & U(s1'))"),
+])
+def test_transform_subst_fresh_names_avoid_written_ones(tmp_path, capsys,
+                                                        body, want):
+    # the renamed binder must not take a name the body already uses
+    p = tmp_path / "rstu.txt"
+    p.write_text("model\nn 2\nrel R 2 :\nrel S 1 :\nrel U 1 :\n"
+                 "rel T 3 :\nend\n")
+    assert main(["transform", "subst", "--formula", "S(x)", "--model",
+                 str(p), "--name", "S", "--params", "p", "--body", body]) == 0
+    assert capsys.readouterr().out.strip() == want
+
+
 def test_transform_rel_rejects_unsound(rel_model, capsys):
     assert main(["transform", "rel", "--formula", "E z. x + y = z",
                  "--model", rel_model, "--guard", "U(v)", "--var", "v"]) == 2
@@ -168,10 +188,13 @@ def test_transform_rel_rejects_unsound(rel_model, capsys):
     ("mso", "# x = y. E(x, y)"),
     ("mso", "Maj(x: U(x))"),
     ("mso", "EX X. E x. X(x)"),
+    ("subst", "E(x, y)"),  # a repeated parameter
 ])
 def test_transform_of_uncovered_construct_is_usage_error(rel_model, capsys,
                                                          kind, formula):
-    extra = ["--guard", "U(v)"] if kind == "rel" else []
+    extra = {"rel": ["--guard", "U(v)"],
+             "subst": ["--name", "E", "--params", "p,p", "--body", "U(p)"],
+             }.get(kind, [])
     assert main(["transform", kind, "--formula", formula,
                  "--model", rel_model, *extra]) == 2
     err = capsys.readouterr().err
@@ -204,6 +227,22 @@ def test_check_seed_flag(capsys):
 
 def test_check_unknown_suite(capsys):
     assert main(["check", "nosuch"]) == 2
+
+
+def test_transform_suites_ignore_the_hash_seed():
+    # fresh names and every set walked while rewriting must not depend on
+    # string hashing
+    for suite in ("substitution", "relativization"):
+        outs = set()
+        for seed in ("0", "1"):
+            env = {**os.environ, "PYTHONHASHSEED": seed,
+                   "PYTHONPATH": os.pathsep.join(sys.path)}
+            done = subprocess.run(
+                [sys.executable, "-m", "fmlab.cli", "check", suite], env=env,
+                capture_output=True, text=True, timeout=300)
+            assert done.returncode == 0, done.stderr
+            outs.add(re.sub(r" *\(\d+ cases, [\d.]+ s\)", "", done.stdout))
+        assert len(outs) == 1, outs
 
 
 def test_mulext_trace(capsys):

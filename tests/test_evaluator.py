@@ -218,6 +218,21 @@ def test_slot_arity_checked_by_every_engine(engine, text):
         engine(m, parse(text, VOCAB), {})
 
 
+@pytest.mark.parametrize("run", [
+    lambda m, phi: evaluate(m, phi, {"x": 0, "y": 1}),
+    lambda m, phi: evaluate_naive(m, phi, {"x": 0, "y": 1}),
+    lambda m, phi: evaluate_fast(m, phi, {"x": 0, "y": 1}),
+    lambda m, phi: TruthTables(m).table(phi),
+    lambda m, phi: define_relation(m, phi, ("x", "y")),
+])
+def test_slot_arity_checked_before_evaluating(run):
+    # at x != y the left conjunct decides, so the application with the
+    # wrong slot arity is never evaluated; it must be refused all the same
+    m = fo_model(random.Random(4), 3)
+    with pytest.raises(ValueError, match="Maj2 expects slot arities"):
+        run(m, parse("x = y & Maj2(x: U(x))", VOCAB))
+
+
 def test_define_relation():
     m = BrModel(5, {}, {})
     rel = define_relation(m, parse("x + y = z"), ("x", "y", "z"))

@@ -1,9 +1,14 @@
+import copy
+import gc
+import pickle
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from fmlab import syntax
 from fmlab.randform import random_formula
 from fmlab.syntax import (MAX_DEPTH, And, Atom, BuiltinAtom, Count, Eq,
-                          Exists, Forall, Iff, Imp, Interner, Not, Or,
+                          Exists, Forall, Iff, Imp, Not, Or,
                           ParseError, QApp, SetAtom, SetExists, SetForall,
                           conj, disj, free_set_variables, free_variables,
                           parse, pretty, quantifier_rank, subformulas)
@@ -129,9 +134,7 @@ def test_measures():
     assert free_variables(parse("R(x, y) & E y. P(y)", V)) == {"x", "y"}
     assert sum(1 for _ in subformulas(phi)) == 6
     twice = parse("(E x. P(x)) & (E x. P(x))", V)
-    interner = Interner()
-    interner.intern(twice)
-    assert len(interner.nodes) < sum(1 for _ in subformulas(twice))
+    assert twice.left is twice.right
 
 
 def test_conj_disj_helpers():
@@ -147,7 +150,7 @@ def test_conj_disj_helpers():
 def test_pretty_parse_round_trip(depth, rng):
     phi = random_formula(rng, V, depth, ("x", "y"), quants=QS,
                          builtins=("le", "lt", "plus"), allow_count=True)
-    assert parse(pretty(phi), V, QS) == phi
+    assert parse(pretty(phi), V, QS) is phi
 
 
 def test_pretty_minimal_parens():
@@ -155,3 +158,22 @@ def test_pretty_minimal_parens():
     assert pretty(phi) == "(P(x) | P(y)) & P(z)"
     phi2 = parse("P(x) | P(y) & P(z)", V)
     assert pretty(phi2) == "P(x) | P(y) & P(z)"
+
+
+def test_equal_formulas_are_one_object():
+    phi = parse("E x. (P(x) & I(y: P(y); z: R(z, x)))", V, QS)
+    assert copy.copy(phi) is phi
+    assert copy.deepcopy(phi) is phi
+    assert pickle.loads(pickle.dumps(phi)) is phi
+    assert hash(phi) == hash(parse(pretty(phi), V, QS))
+    assert phi.shapes == (("I", (1, 1)),)
+
+
+def test_node_table_empties_when_formulas_die():
+    gc.collect()
+    before = len(syntax._TABLE)
+    phi = parse("A dead1. E dead2. (R(dead1, dead2) | dead1 = dead2)", V)
+    assert len(syntax._TABLE) > before
+    del phi
+    gc.collect()
+    assert len(syntax._TABLE) == before

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from fmlab import quantifiers as Q
 from fmlab.evaluator import define_relation, evaluate, evaluate_naive
 from fmlab.model import BrModel, powerset_structure, relativize, word_model
-from fmlab.randform import random_formula
+from fmlab.randform import FormulaGen, random_formula
 from fmlab.syntax import (Exists, Forall, Not, free_variables, parse, pretty)
 from fmlab.transforms import (_Names, mso_translate, relativize_formula,
                               rename_free, substitute)
@@ -60,6 +60,26 @@ def test_substitution_matches_defined_relation(n, depth, rng):
     s_ext = define_relation(m, body, ("p", "q"))
     m_with_s = m.with_relations({"S": s_ext}, {"S": 2})
     a = {v: rng.randrange(n) for v in free_variables(phi)}
+    assert evaluate(m, subbed, a) == evaluate(m_with_s, phi, a)
+
+
+@given(st.integers(2, 4), st.integers(0, 3), st.randoms(use_true_random=False))
+@settings(max_examples=100, deadline=None)
+def test_substitution_with_primed_binders(n, depth, rng):
+    # S(x, y) renames the body's binder x apart; the body also binds the
+    # names that renaming draws (s1', s2'), so fresh names must skip them
+    base = {"U": 1, "R": 2}
+    m = fo_model(rng, n, base)
+    gen = FormulaGen(base)
+    gen._fresh = lambda: rng.choice(("x", "s1'", "s2'"))
+    inner = gen.formula(rng, depth, ("p", "q", "x", "s1'"))
+    body = rng.choice([Exists, Forall])(
+        "x", rng.choice([Exists, Forall])("s1'", inner))
+    phi = parse("S(x, y)", {"S": 2})
+    subbed = substitute(phi, {"S": (("p", "q"), body)})
+    s_ext = define_relation(m, body, ("p", "q"))
+    m_with_s = m.with_relations({"S": s_ext}, {"S": 2})
+    a = {"x": rng.randrange(n), "y": rng.randrange(n)}
     assert evaluate(m, subbed, a) == evaluate(m_with_s, phi, a)
 
 
