@@ -210,6 +210,8 @@ def synthesize_multiplication(s: NumericalSet, n: int, eps: Fraction,
     """From a set loose at scale eps to full multiplication on n points:
     pick k with k * eps > 1, find a workable t, build the start relation
     and iterate the extension rounds."""
+    if eps <= 0:
+        raise ValueError("need eps > 0")
     if k is None:
         k = int(1 / eps) + 1
     if k * eps <= 1:

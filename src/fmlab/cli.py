@@ -1,9 +1,10 @@
 """Command-line front end.
 
 Exit codes: 0 for success (and for claims that hold), 1 for claims that
-fail, 2 for usage errors (bad flags, malformed files or formulas), for
-evaluations that run out of their step budget or set-size cap and for set
-enumerations that pass their horizon.
+fail, 2 for usage errors (bad flags, malformed files or formulas, inputs
+the evaluator does not admit), for evaluations that run out of their
+step budget or set-size cap and for set enumerations that pass their
+horizon.
 """
 
 from __future__ import annotations
@@ -53,6 +54,14 @@ def _parse_assign(text: str) -> dict:
         k, v = part.split("=", 1)
         out[k.strip()] = int(v)
     return out
+
+
+def fraction(text: str) -> Fraction:
+    """An --eps value p/q; argparse shows a ValueError as "invalid fraction"."""
+    try:
+        return Fraction(text)
+    except ZeroDivisionError as exc:
+        raise ValueError(text) from exc
 
 
 def _load_config(path: str):
@@ -152,8 +161,8 @@ def _cmd_analyze_set(args) -> int:
     s = setsmod.parse_set_spec(args.set)
     f, omega = setsmod.f_omega(s, args.n)
     print(f"f={f} omega={omega}")
-    if args.eps is not None:
-        eps = Fraction(args.eps)
+    eps = args.eps
+    if eps is not None:
         for rep in (setsmod.loose_at(s, args.n, eps),
                     setsmod.pseudoloose_at(s, args.n, eps)):
             extra = "".join([
@@ -189,9 +198,8 @@ def _cmd_mulext(args) -> int:
 
 def _cmd_pipeline(args) -> int:
     s = setsmod.parse_set_spec(args.set)
-    eps = Fraction(args.eps)
-    res = arithx.synthesize_multiplication(s, args.n, eps)
-    print(f"set={args.set} n={args.n} eps={eps} k={res.k} t={res.t} "
+    res = arithx.synthesize_multiplication(s, args.n, args.eps)
+    print(f"set={args.set} n={args.n} eps={args.eps} k={res.k} t={res.t} "
           f"word={res.word!r} rounds={res.rounds}")
     if res.trace:
         _print_trace(res.trace)
@@ -278,7 +286,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("analyze-set", help="offset/period and looseness")
     p.add_argument("--set", required=True, help="set-spec, e.g. sq or fact")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--eps", help="p/q; also run the looseness scans")
+    p.add_argument("--eps", type=fraction,
+                   help="p/q; also run the looseness scans")
     p.set_defaults(run=_cmd_analyze_set)
 
     p = sub.add_parser("mulext", help="extend a rectangle seed, with trace")
@@ -290,7 +299,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="multiplication synthesis from a loose set")
     p.add_argument("--set", required=True)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--eps", required=True)
+    p.add_argument("--eps", type=fraction, required=True)
     p.set_defaults(run=_cmd_pipeline)
 
     p = sub.add_parser("check", help="run a verification suite")

@@ -11,11 +11,13 @@ Three engines with one semantics:
   sweeps, and the independent second route.  A table of more than
   `TABLE_CAP` cells is refused before it is built.
 
-Both engines read each subformula's `kids`, `free` and `free_sets`,
-which a formula computes once when it is built (formulas are hash-consed,
-see `syntax.Formula`).  Before evaluating, every entry point refuses a
-quantifier application, anywhere in the formula, whose slot arities
-differ from its registry entry.
+Both engines read each subformula's `kids`, `free`, `free_sets` and
+`shapes`, which a formula computes once when it is built (formulas are
+hash-consed, see `syntax.Formula`).  Every entry point makes one
+admission check, `_Engine.admit`, before it evaluates, and the clauses
+trust what it admitted.  A built-in's `holds` is its only definition:
+the top-down engine calls it on f-values, the table engine reads a unary
+one value by value and broadcasts a wider one over grids of f-values.
 
 Plus `ef_equivalent`, the r-round back-and-forth game.
 """
@@ -45,50 +47,76 @@ class BudgetExceeded(RuntimeError):
     pass
 
 
-_default_quants = None
-
-
+@functools.lru_cache(maxsize=None)
 def default_quantifiers() -> dict:
-    global _default_quants
-    if _default_quants is None:
-        _default_quants = quantmod.builtin_quantifiers()
-    return _default_quants
+    return quantmod.builtin_quantifiers()
 
 
-def _check_shapes(phi: Formula, quantifiers: dict):
-    for qname, got in phi.shapes:
-        q = quantifiers.get(qname)
-        if q is not None and got != tuple(q.slot_arities):
-            raise ValueError(f"{qname} expects slot arities "
-                             f"{list(q.slot_arities)}, got {list(got)}")
+def _subsets(n: int):
+    """Every subset of the domain, by size and then lexicographically."""
+    if n > MSO_CAP:
+        raise BudgetExceeded(f"set quantification needs 2^{n} subsets; cap "
+                             f"is 2^{MSO_CAP}")
+    for r in range(n + 1):
+        for s in itertools.combinations(range(n), r):
+            yield frozenset(s)
 
 
-def _check_closed(phi: Formula, assignment, set_assignment):
-    missing = set(phi.free) - set(assignment)
-    if missing:
-        raise ValueError(f"unassigned variables: {sorted(missing)}")
-    missing = set(phi.free_sets) - set(set_assignment)
-    if missing:
-        raise ValueError(f"unassigned set variables: {sorted(missing)}")
+class _Engine:
+    """The model, the two registries and the memo of one evaluation, and
+    the one admission check that every entry point makes."""
 
-
-class _TopDown:
-    def __init__(self, m: BrModel, builtins, quantifiers, budget):
+    def __init__(self, m: BrModel, builtins=None, quantifiers=None):
         self.m = m
         self.builtins = (builtins if builtins is not None
                          else modelmod.builtin_registry())
         self.quantifiers = (quantifiers if quantifiers is not None
                             else default_quantifiers())
+        self.memo: dict = {}
+
+    def admit(self, phi: Formula, set_assignment, assignment=None) -> dict:
+        """Refuse, with ValueError, a relation, built-in or quantifier that
+        the model or the registries do not know or that phi applies with
+        other arities, an unassigned free (set) variable, and a value or a
+        set member outside the domain.  Without an `assignment` (a table)
+        the free first-order variables range over the domain.  Returns the
+        set assignment, each set a frozenset."""
+        for kind, name, got in sorted(phi.shapes):
+            if kind == "relation":
+                want = self.m.arities.get(name)
+            elif kind == "built-in":
+                want = self.builtins[name].arity  # an unknown name: ValueError
+            else:
+                q = self.quantifiers.get(name)
+                want = None if q is None else tuple(q.slot_arities)
+            if want is None:
+                raise ValueError(f"unknown {kind} {name!r}")
+            if got != want:
+                what = "slot arities" if kind == "quantifier" else "arity"
+                raise ValueError(f"{name} expects {what} {want}, got {got}")
+        sa = {k: frozenset(v) for k, v in (set_assignment or {}).items()}
+        given = {v: sa.get(v) for v in phi.free_sets}
+        if assignment is not None:
+            given.update({v: {assignment[v]} if v in assignment else None
+                          for v in phi.free})
+        for v, values in given.items():
+            if values is None:
+                raise ValueError(f"unassigned variable {v}")
+            if not all(0 <= x < self.m.n for x in values):
+                raise ValueError(f"{v} is given a value outside the domain "
+                                 f"0..{self.m.n - 1}")
+        return sa
+
+
+class _TopDown(_Engine):
+    def __init__(self, m: BrModel, builtins, quantifiers, budget):
+        super().__init__(m, builtins, quantifiers)
         self.budget = budget
         self.ops = 0
-        self.memo: dict = {}
 
     def decide(self, phi, assignment, set_assignment) -> bool:
         a = dict(assignment or {})
-        sa = {k: frozenset(v) for k, v in (set_assignment or {}).items()}
-        _check_shapes(phi, self.quantifiers)
-        _check_closed(phi, a, sa)
-        return self.run(phi, a, sa)
+        return self.run(phi, a, self.admit(phi, set_assignment, a))
 
     def run(self, phi, assignment, set_assignment) -> bool:
         self.ops += 1
@@ -144,15 +172,8 @@ class _TopDown:
                 rels.append(rel)
             return bool(q.decide(m.n, rels, m.f))
         if isinstance(phi, (SetExists, SetForall)):
-            if m.n > MSO_CAP:
-                raise BudgetExceeded(
-                    f"set quantification needs 2^{m.n} subsets; cap is "
-                    f"2^{MSO_CAP}")
-            universe = range(m.n)
-            subsets = (frozenset(s) for r in range(m.n + 1)
-                       for s in itertools.combinations(universe, r))
             runs = (self.run(kids[0], a, {**sa, phi.setvar: s})
-                    for s in subsets)
+                    for s in _subsets(m.n))
             return any(runs) if isinstance(phi, SetExists) else all(runs)
         raise TypeError(f"not a formula: {phi!r}")
 
@@ -201,7 +222,7 @@ def _align(table: tuple, target: tuple) -> np.ndarray:
                                      if v not in vs))
 
 
-class TruthTables:
+class TruthTables(_Engine):
     """Bottom-up evaluation: for each subformula a pair (vars, array) where
     vars is the sorted tuple of free first-order variables and the bool
     array has one axis of length n per variable, axis i for vars[i]; a
@@ -211,19 +232,12 @@ class TruthTables:
     formula for another."""
 
     def __init__(self, m: BrModel, builtins=None, quantifiers=None):
-        self.m = m
+        super().__init__(m, builtins, quantifiers)
         self.n = m.n
         self.fvals = np.asarray(m.f, dtype=np.int64)
-        self.builtins = (builtins if builtins is not None
-                         else modelmod.builtin_registry())
-        self.quantifiers = (quantifiers if quantifiers is not None
-                            else default_quantifiers())
-        self.memo: dict = {}
 
     def table(self, phi: Formula, set_assignment=None) -> tuple:
-        sa = {k: frozenset(v) for k, v in (set_assignment or {}).items()}
-        _check_shapes(phi, self.quantifiers)
-        return self._table(phi, sa)
+        return self._table(phi, self.admit(phi, set_assignment))
 
     def _table(self, phi, sa) -> tuple:
         key = (phi, tuple([sa[v] for v in phi.free_sets]))
@@ -256,21 +270,11 @@ class TruthTables:
 
     def _builtin(self, phi: BuiltinAtom, vs) -> np.ndarray:
         rel = self.builtins[phi.name]
-        grids = []
-        for v in phi.args:
-            shape = [1] * len(vs)
-            shape[vs.index(v)] = self.n
-            grids.append(self.fvals.reshape(shape))
-        name = phi.name
-        if name == "le":
-            return grids[0] <= grids[1]
-        if name == "lt":
-            return grids[0] < grids[1]
-        if name == "plus":
-            return grids[0] + grids[1] == grids[2]
-        if name == "times":
-            return grids[0] * grids[1] == grids[2]
-        return np.vectorize(rel.holds, otypes=[bool])(*grids)
+        if rel.arity == 1:
+            return np.array([rel.holds(x) for x in self.m.f], dtype=bool)
+        return rel.holds(*(self.fvals.reshape([self.n if w == v else 1
+                                               for w in vs])
+                           for v in phi.args))
 
     def _build(self, phi, sa) -> np.ndarray:
         n = self.n
@@ -342,12 +346,8 @@ class TruthTables:
                 out[assign] = q.decide(n, rels, self.m.f)
             return out
         if isinstance(phi, (SetExists, SetForall)):
-            if n > MSO_CAP:
-                raise BudgetExceeded(f"set quantification cap is 2^{MSO_CAP}")
-            subsets = (frozenset(s) for r in range(n + 1)
-                       for s in itertools.combinations(range(n), r))
             tables = (self._table(kids[0], {**sa, phi.setvar: s})[1]
-                      for s in subsets)
+                      for s in _subsets(n))
             either = isinstance(phi, SetExists)
             return functools.reduce(
                 np.logical_or if either else np.logical_and, tables)
@@ -358,13 +358,10 @@ def evaluate_fast(m: BrModel, phi: Formula, assignment=None, *,
                   builtins=None, quantifiers=None, set_assignment=None) -> bool:
     """Bottom-up evaluation; best when the formula is to be decided on the
     whole model (it computes full tables regardless of the assignment)."""
-    assignment = dict(assignment or {})
-    sa = {k: frozenset(v) for k, v in (set_assignment or {}).items()}
+    a = dict(assignment or {})
     tt = TruthTables(m, builtins, quantifiers)
-    _check_shapes(phi, tt.quantifiers)
-    _check_closed(phi, assignment, sa)
-    vs, arr = tt._table(phi, sa)
-    return bool(arr[tuple(assignment[v] for v in vs)])
+    vs, arr = tt._table(phi, tt.admit(phi, set_assignment, a))
+    return bool(arr[tuple(a[v] for v in vs)])
 
 
 def define_relation(m: BrModel, phi: Formula, var_order, *, builtins=None,
@@ -373,13 +370,13 @@ def define_relation(m: BrModel, phi: Formula, var_order, *, builtins=None,
     `var_order`; positions whose variable is not free range freely."""
     var_order = tuple(var_order)
     tt = TruthTables(m, builtins, quantifiers)
-    _check_shapes(phi, tt.quantifiers)
+    sa = tt.admit(phi, None)
     if not set(phi.free) <= set(var_order):
         raise ValueError("var_order must cover the free variables")
     if len(set(var_order)) != len(var_order):
         raise ValueError("var_order repeats a variable")
     _check_cells(m.n, len(var_order))
-    arr = _align(tt._table(phi, {}), var_order)
+    arr = _align(tt._table(phi, sa), var_order)
     arr = np.broadcast_to(arr, (m.n,) * len(var_order))
     return frozenset(map(tuple, np.argwhere(arr).tolist()))
 
@@ -394,62 +391,48 @@ EF_MAX_ROUNDS = 4
 
 def ef_equivalent(m1: BrModel, m2: BrModel, rounds: int) -> bool:
     """Whether the duplicator wins the r-round game.  The order built-in
-    `le` takes part as an ordinary relation (read through each model's
-    permutation)."""
+    `le` takes part as an ordinary relation, read through each model's
+    permutation.  A repeated pick is answered by its partner, and an
+    answer that reuses a matched element is not injective, so only moves
+    that add a pair of fresh elements matter: a position (a set of pairs)
+    reached by them is a partial isomorphism, and a fresh pair keeps it
+    one exactly when `extends` holds."""
     if m1.arities != m2.arities:
         raise ValueError("models must share a vocabulary")
     if max(m1.n, m2.n) > EF_MAX_N:
         raise ValueError(f"game solver capped at n <= {EF_MAX_N}")
-    if rounds > EF_MAX_ROUNDS:
-        raise ValueError(f"game solver capped at {EF_MAX_ROUNDS} rounds")
-    le = modelmod.builtin_registry()["le"]
+    if not 0 <= rounds <= EF_MAX_ROUNDS:
+        raise ValueError(f"game solver takes 0 to {EF_MAX_ROUNDS} rounds")
     memo: dict = {}
 
-    def partial_iso(pairs) -> bool:
-        left = {}
-        right = {}
-        for a, b in pairs:
-            if left.setdefault(a, b) != b or right.setdefault(b, a) != a:
-                return False
-        pl = list(pairs)
+    def extends(pairs, a, b) -> bool:
+        """Whether the order and every relation agree on each tuple that
+        goes through the fresh pair (a, b)."""
+        if any((m1.f[a] < m1.f[c]) != (m2.f[b] < m2.f[d]) for c, d in pairs):
+            return False
+        grown = [*pairs, (a, b)]
         for name, ar in m1.arities.items():
             r1, r2 = m1.rels[name], m2.rels[name]
-            for combo in itertools.product(pl, repeat=ar):
-                t1 = tuple(a for a, _ in combo)
-                t2 = tuple(b for _, b in combo)
-                if (t1 in r1) != (t2 in r2):
+            for combo in itertools.product(grown, repeat=ar):
+                if (a, b) in combo and ((tuple(c for c, _ in combo) in r1)
+                                        != (tuple(d for _, d in combo) in r2)):
                     return False
-        for (a1, b1), (a2, b2) in itertools.product(pl, repeat=2):
-            if le.eval_on(m1, (a1, a2)) != le.eval_on(m2, (b1, b2)):
-                return False
         return True
 
     def win(pairs: frozenset, r: int) -> bool:
         key = (pairs, r)
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
-        out = partial_iso(pairs)
-        if out and r > 0:
-            used1 = {a for a, _ in pairs}
-            used2 = {b for _, b in pairs}
-            fresh1 = [a for a in range(m1.n) if a not in used1]
-            fresh2 = [b for b in range(m2.n) if b not in used2]
-            # a repeated pick is answered by the existing partner, so only
-            # fresh spoiler moves matter; a response reusing a matched
-            # element breaks injectivity, so only fresh responses matter
-            for a in fresh1:
-                if not fresh2 or not any(
-                        win(pairs | {(a, b)}, r - 1) for b in fresh2):
-                    out = False
-                    break
-            if out:
-                for b in fresh2:
-                    if not fresh1 or not any(
-                            win(pairs | {(a, b)}, r - 1) for a in fresh1):
-                        out = False
-                        break
-        memo[key] = out
-        return out
+        if key not in memo:
+            fresh1 = sorted(set(range(m1.n)) - {c for c, _ in pairs})
+            fresh2 = sorted(set(range(m2.n)) - {d for _, d in pairs})
 
-    return win(frozenset(), rounds)
+            def answer(a, b) -> bool:
+                return extends(pairs, a, b) and win(pairs | {(a, b)}, r - 1)
+
+            memo[key] = r == 0 or (
+                all(any(answer(a, b) for b in fresh2) for a in fresh1)
+                and all(any(answer(a, b) for a in fresh1) for b in fresh2))
+        return memo[key]
+
+    # a nullary relation's one tuple goes through no pair
+    return (all(m1.rels[k] == m2.rels[k] for k, ar in m1.arities.items()
+                if ar == 0) and win(frozenset(), rounds))

@@ -62,10 +62,6 @@ class BrModel:
             inv[v] = a
         return tuple(inv)
 
-    def domain_in_f_order(self) -> list[int]:
-        """Domain elements sorted by their f-value."""
-        return sorted(range(self.n), key=lambda a: self.f[a])
-
     def with_relations(self, extra: dict[str, Iterable[tuple]],
                        arities: dict[str, int]) -> "BrModel":
         ar = dict(self.arities)
@@ -77,19 +73,20 @@ class BrModel:
 
 @dataclass(frozen=True)
 class NumericalRelation:
-    """A fixed relation on the naturals usable as a built-in."""
+    """A fixed relation on the naturals usable as a built-in; `holds` is
+    its only definition.  At arity 2 or more, holds must also take numpy
+    int64 arrays and give the bool array of its verdicts: the table engine
+    broadcasts it over f-values.  A unary holds is called on ints only."""
     name: str
     arity: int
     holds: Callable[..., bool]
 
     def eval_on(self, m: BrModel, tup: tuple) -> bool:
-        if len(tup) != self.arity:
-            raise ValueError(f"{self.name} expects {self.arity} arguments")
         return bool(self.holds(*(m.f[a] for a in tup)))
 
 
 def _bit(x: int, y: int) -> bool:
-    # bit y of x
+    # bit y of x; numpy shifts of 64 or more give 0, as they must here
     return (x >> y) & 1 == 1
 
 
@@ -116,7 +113,7 @@ def builtin_registry(set_registry: Optional[dict[str, NumericalSet]] = None
                 rel = NumericalRelation(key, 1, s.contains)
                 self[key] = rel
                 return rel
-            raise KeyError(key)
+            raise ValueError(f"unknown built-in {key!r}")
 
     out = _Registry()
     out.update(regs)
@@ -207,18 +204,24 @@ def word_model(w: str, alphabet=None) -> BrModel:
     return BrModel(len(w), arities, rels)
 
 
+def slot_word(n: int, rels, letters, f) -> Optional[str]:
+    """The word that unary slots, one per letter, spell on {0,..,n-1}:
+    positions in f-order, each carrying exactly one letter.  None if the
+    slots do not partition the domain."""
+    owner = [None] * n
+    for rel, letter in zip(rels, letters):
+        for (a,) in rel:
+            if owner[a] is not None:
+                return None
+            owner[a] = letter
+    if any(o is None for o in owner):
+        return None
+    return "".join(owner[a] for a in sorted(range(n), key=lambda a: f[a]))
+
+
 def model_word(m: BrModel, letters) -> Optional[str]:
-    """Read the word encoded by unary slots back off a model: positions in
-    f-order, each carrying exactly one letter.  None if the slots do not
-    partition the domain."""
-    out = []
-    rels = [m.rels[f"P_{a}"] for a in letters]
-    for a in m.domain_in_f_order():
-        hits = [c for c, r in zip(letters, rels) if (a,) in r]
-        if len(hits) != 1:
-            return None
-        out.append(hits[0])
-    return "".join(out)
+    """The word a word model's letter predicates spell (see `slot_word`)."""
+    return slot_word(m.n, [m.rels[f"P_{a}"] for a in letters], letters, m.f)
 
 
 POWERSET_CAP = 5

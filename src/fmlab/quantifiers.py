@@ -118,8 +118,8 @@ def lang_ambmck() -> Language:
     return Language("ambmck", ("a", "b", "c"), member)
 
 
-def lang_parity(letter: str = "a", alphabet=("a", "b")) -> Language:
-    return Language(f"parity-{letter}", tuple(alphabet),
+def lang_parity(letter: str = "a") -> Language:
+    return Language(f"parity-{letter}", ("a", "b"),
                     lambda w: w.count(letter) % 2 == 0)
 
 
@@ -168,16 +168,8 @@ def language_quantifier(lang: Language) -> Quantifier:
     letters = lang.alphabet
 
     def decide(n, rels, f):
-        owner = [None] * n
-        for rel, letter in zip(rels, letters):
-            for (a,) in rel:
-                if owner[a] is not None:
-                    return False
-                owner[a] = letter
-        if any(o is None for o in owner):
-            return False
-        order = sorted(range(n), key=lambda a: f[a])
-        return lang.member("".join(owner[a] for a in order))
+        w = modelmod.slot_word(n, rels, letters, f)
+        return w is not None and lang.member(w)
 
     return Quantifier(f"Q_{lang.name}", tuple(1 for _ in letters), decide)
 
@@ -315,20 +307,14 @@ def powerset_quantifier() -> Quantifier:
 # registry
 
 
-def builtin_quantifiers(extra_sets: Optional[dict] = None) -> dict:
-    """The default registry; cardinality quantifiers for a few stock sets
-    plus any supplied as {suffix: NumericalSet}."""
-    regs = {}
-    for q in [hartig(), divisibility(), divisibility_by(2), divisibility_by(3),
-              divisibility_by(5), majority(), majority_pairs(),
-              exists_nonempty(), powerset_quantifier()]:
-        regs[q.name] = q
-    stock = {"Sq": squares(), "E": powers_of_two(), "F": factorials()}
-    stock.update(extra_sets or {})
-    for suffix, s in stock.items():
-        q = cardinality(s, name=f"C_{suffix}")
-        regs[q.name] = q
-    return regs
+def builtin_quantifiers() -> dict:
+    """The default registry, with cardinality quantifiers for a few stock
+    sets."""
+    return {q.name: q for q in [
+        hartig(), divisibility(), divisibility_by(2), divisibility_by(3),
+        divisibility_by(5), majority(), majority_pairs(), exists_nonempty(),
+        powerset_quantifier(), cardinality(squares(), "C_Sq"),
+        cardinality(powers_of_two(), "C_E"), cardinality(factorials(), "C_F")]}
 
 
 def registry_shapes(registry: dict) -> dict:

@@ -2,10 +2,9 @@
 
 from __future__ import annotations
 
+from .model import builtin_registry
 from .syntax import (And, Atom, BuiltinAtom, Count, Eq, Exists, Forall,
                      Formula, Iff, Imp, Not, Or, QApp)
-
-BUILTIN_ARITIES = {"le": 2, "lt": 2, "plus": 3, "times": 3, "bit": 2}
 
 
 class FormulaGen:
@@ -16,7 +15,8 @@ class FormulaGen:
                  allow_count: bool = False):
         self.vocab = dict(vocab)
         self.quants = dict(quants or {})
-        self.builtins = list(builtins)
+        reg = builtin_registry()
+        self.builtins = [(name, reg[name].arity) for name in builtins]
         self.allow_count = allow_count
         self.k = 0
 
@@ -33,9 +33,8 @@ class FormulaGen:
             args = tuple(rng.choice(pool) for _ in range(self.vocab[name]))
             return Atom(name, args)
         if kind == "builtin":
-            name = rng.choice(self.builtins)
-            args = tuple(rng.choice(pool)
-                         for _ in range(BUILTIN_ARITIES[name]))
+            name, ar = rng.choice(self.builtins)
+            args = tuple(rng.choice(pool) for _ in range(ar))
             return BuiltinAtom(name, args)
         return Eq(rng.choice(pool), rng.choice(pool))
 

@@ -31,8 +31,9 @@ class Formula:
     * `kids`, its child formulas;
     * `free` and `free_sets`, its sorted free first-order and set
       variables;
-    * `shapes`, the sorted (name, slot arities) of the quantifier
-      applications inside it."""
+    * `shapes`, the frozenset of (kind, name, arity) of the relation
+      atoms, built-in atoms and quantifier applications inside it, where
+      a quantifier's arity is its tuple of slot arities."""
 
     def __new__(cls, *fields):
         names = cls.__match_args__
@@ -60,11 +61,13 @@ class Formula:
         """The binding rules: (kids, free, free_sets, shapes) from the
         children's."""
         if isinstance(self, (Atom, BuiltinAtom)):
-            return (), tuple(sorted(set(self.args))), (), ()
+            kind = "relation" if isinstance(self, Atom) else "built-in"
+            return ((), tuple(sorted(set(self.args))), (),
+                    frozenset({(kind, self.name, len(self.args))}))
         if isinstance(self, Eq):
-            return (), tuple(sorted({self.left, self.right})), (), ()
+            return (), tuple(sorted({self.left, self.right})), (), frozenset()
         if isinstance(self, SetAtom):
-            return (), (self.arg,), (self.setvar,), ()
+            return (), (self.arg,), (self.setvar,), frozenset()
         if isinstance(self, QApp):
             for vs, _ in self.slots:
                 if len(set(vs)) != len(vs):
@@ -72,9 +75,10 @@ class Formula:
             kids = tuple([sub for _, sub in self.slots])
             free = _union(*[tuple([v for v in k.free if v not in vs])
                             for (vs, _), k in zip(self.slots, kids)])
-            shape = (self.qname, tuple([len(vs) for vs, _ in self.slots]))
+            shape = ("quantifier", self.qname,
+                     tuple([len(vs) for vs, _ in self.slots]))
             return (kids, free, _union(*[k.free_sets for k in kids]),
-                    _union((shape,), *[k.shapes for k in kids]))
+                    frozenset({shape}).union(*[k.shapes for k in kids]))
         kids = tuple([v for v in fields if isinstance(v, Formula)])
         free = _union(*[k.free for k in kids])
         free_sets = _union(*[k.free_sets for k in kids])
@@ -84,7 +88,8 @@ class Formula:
             free = _union(free, (self.target,))
         if isinstance(self, (SetExists, SetForall)):
             free_sets = tuple([v for v in free_sets if v != self.setvar])
-        return kids, free, free_sets, _union(*[k.shapes for k in kids])
+        first, *rest = [k.shapes for k in kids]
+        return kids, free, free_sets, first.union(*rest)
 
 
 def _union(*parts) -> tuple:

@@ -307,3 +307,24 @@ def test_analyze_set_small_eps(capsys):
 def test_missing_model_file(capsys):
     assert main(["eval", "--model", "/no/such/file", "--formula",
                  "x = x"]) == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["eval", "--model", "M", "--formula", "@foo(x)", "--assign", "x=0"],
+    ["eval", "--model", "M", "--formula", "@le(x)", "--assign", "x=0"],
+    ["eval", "--model", "M", "--formula", "x <= y", "--assign", "x=2,y=-1"],
+    ["eval", "--model", "M", "--formula", "x <= y", "--assign", "x=2,y=5"],
+    ["eval", "--model", "M", "--formula", "U(x)", "--assign", "x=7"],
+    ["eval", "--model", "M", "--formula", "U(x, y)", "--assign", "x=0,y=0"],
+    ["analyze-set", "--set", "sq", "--n", "100", "--eps", "1/0"],
+    ["pipeline", "--set", "sq", "--n", "100", "--eps", "1/0"],
+    ["pipeline", "--set", "sq", "--n", "100", "--eps", "0"],
+    ["ef", "--model", "M", "--model", "M", "--rank", "-1"],
+])
+def test_bad_input_is_a_usage_error_before_any_work(tmp_path, capsys, argv):
+    # refused where it enters: nothing on stdout, no verdict, no traceback
+    p = tmp_path / "u.txt"
+    p.write_text("model\nn 3\nrel U 1 : 0\nend\n")
+    assert main([str(p) if a == "M" else a for a in argv]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "error:" in err and "Traceback" not in err

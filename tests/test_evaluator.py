@@ -1,3 +1,4 @@
+import functools
 import itertools
 import random
 
@@ -140,6 +141,9 @@ FORMULAS = [
     "D(x: R(x, y); z: U(z))",
     "R(x, y) <-> x = y",
     "Maj2(x, y: R(x, z) | R(w, y))",
+    "@bit(x, y)",
+    "x < y",
+    "@set:sq(x)",
 ]
 
 
@@ -233,6 +237,54 @@ def test_slot_arity_checked_before_evaluating(run):
         run(m, parse("x = y & Maj2(x: U(x))", VOCAB))
 
 
+M3 = BrModel(3, VOCAB, {"U": {(0,)}, "R": {(0, 1)}})
+
+# (formula, assignment, set assignment, message): each input is refused
+# with ValueError by every entry point it can reach.  A set assignment of
+# None marks a fault in the first-order assignment, which only a point
+# evaluation sees: a table or a defined relation lets the free variables
+# range over the domain.  define_relation takes no set assignment.
+REFUSALS = [
+    (parse("X(x)"), {"x": 0}, {}, "unknown relation 'X'"),
+    (parse("R(x)"), {"x": 0}, {}, "R expects arity 2, got 1"),
+    (parse("@foo(x)"), {"x": 0}, {}, "unknown built-in 'foo'"),
+    (parse("@le(x)"), {"x": 0}, {}, "le expects arity 2, got 1"),
+    (parse("@bit(x, y, z)"), {"x": 0, "y": 0, "z": 0}, {},
+     "bit expects arity 2"),
+    (parse("Nope(x: U(x))", VOCAB), {}, {}, "unknown quantifier 'Nope'"),
+    (parse("x = x & Maj(x, y: R(x, y))", VOCAB), {"x": 0}, {},
+     "Maj expects slot arities"),
+    (parse("X(x)", VOCAB), {"x": 0}, {}, "unassigned variable X"),
+    (parse("X(x)", VOCAB), {"x": 0}, {"X": {1, 7}}, "X is given a value"),
+    (parse("x = y"), {"x": 0}, None, "unassigned variable y"),
+    (parse("x <= y"), {"x": 2, "y": -1}, None, "y is given a value"),
+    (parse("x <= y"), {"x": 2, "y": 5}, None, "y is given a value"),
+    (parse("U(x)", VOCAB), {"x": 7}, None, "x is given a value"),
+]
+
+ENTRY_POINTS = {
+    "evaluate": lambda phi, a, sa: evaluate(M3, phi, a, set_assignment=sa),
+    "evaluate_naive": lambda phi, a, sa: evaluate_naive(M3, phi, a,
+                                                        set_assignment=sa),
+    "evaluate_fast": lambda phi, a, sa: evaluate_fast(M3, phi, a,
+                                                      set_assignment=sa),
+    "table": lambda phi, a, sa: TruthTables(M3).table(phi, sa),
+    "define_relation": lambda phi, a, sa: define_relation(M3, phi, phi.free),
+}
+
+
+@pytest.mark.parametrize("entry, phi, a, sa, refused", [
+    pytest.param(entry, phi, a, sa, refused, id=f"{entry}: {refused}")
+    for phi, a, sa, refused in REFUSALS
+    for entry in ENTRY_POINTS
+    if sa is not None or entry.startswith("evaluate")
+    if not (entry == "define_relation" and sa)])
+def test_every_entry_point_refuses_what_it_cannot_evaluate(entry, phi, a, sa,
+                                                           refused):
+    with pytest.raises(ValueError, match=refused):
+        ENTRY_POINTS[entry](phi, a, sa or {})
+
+
 def test_define_relation():
     m = BrModel(5, {}, {})
     rel = define_relation(m, parse("x + y = z"), ("x", "y", "z"))
@@ -300,6 +352,74 @@ def test_ef_caps():
     small = word_model("aa")
     with pytest.raises(ValueError):
         ef_equivalent(small, small, 5)
+    with pytest.raises(ValueError):
+        ef_equivalent(small, small, -1)
+
+
+def brute_ef(m1, m2, rounds) -> bool:
+    """The game by its definition, with no shortcut: a position is won with
+    no rounds left when its pairs form a partial isomorphism (injective,
+    preserving every relation and the order of f-values), and with r left
+    when it is one and every pick on either side, repeated or not, has an
+    answer that wins with r - 1 left."""
+
+    def iso(pairs) -> bool:
+        if len({a for a, _ in pairs}) != len(pairs) or \
+                len({b for _, b in pairs}) != len(pairs):
+            return False
+        for name, ar in m1.arities.items():
+            for combo in itertools.product(pairs, repeat=ar):
+                if ((tuple(a for a, _ in combo) in m1.rels[name])
+                        != (tuple(b for _, b in combo) in m2.rels[name])):
+                    return False
+        return all((m1.f[a] <= m1.f[c]) == (m2.f[b] <= m2.f[d])
+                   for (a, b), (c, d) in itertools.product(pairs, repeat=2))
+
+    @functools.lru_cache(maxsize=None)
+    def win(pairs, r) -> bool:
+        if not iso(pairs):
+            return False
+        return r == 0 or (
+            all(any(win(pairs | {(a, b)}, r - 1) for b in range(m2.n))
+                for a in range(m1.n))
+            and all(any(win(pairs | {(a, b)}, r - 1) for a in range(m1.n))
+                    for b in range(m2.n)))
+
+    return win(frozenset(), rounds)
+
+
+def model_pair(rng, n1, n2):
+    """Two models over U and R at one random density, sparse more often
+    than not, so that many pairs are equivalent for a few rounds; now and
+    then the second is the first with its elements renamed."""
+    pu, pr = rng.choice([0, 0.5, 1]), rng.choice([0, 0, 0.2])
+
+    def draw(n):
+        f = list(range(n))
+        rng.shuffle(f)
+        return BrModel(n, VOCAB, {
+            "U": {(a,) for a in range(n) if rng.random() < pu},
+            "R": {(a, b) for a in range(n) for b in range(n)
+                  if rng.random() < pr}}, f)
+
+    m1 = draw(n1)
+    if rng.random() < 0.25:
+        p = rng.sample(range(n1), n1)
+        f = [0] * n1
+        for a in range(n1):
+            f[p[a]] = m1.f[a]
+        return m1, BrModel(n1, VOCAB, {
+            name: {tuple(p[a] for a in t) for t in rel}
+            for name, rel in m1.rels.items()}, f)
+    return m1, draw(n2)
+
+
+@given(st.integers(1, 6), st.integers(1, 6), st.integers(0, 3),
+       st.randoms(use_true_random=False))
+@settings(max_examples=80, deadline=None)
+def test_ef_matches_the_game_by_definition(n1, n2, rounds, rng):
+    m1, m2 = model_pair(rng, n1, n2)
+    assert ef_equivalent(m1, m2, rounds) == brute_ef(m1, m2, rounds)
 
 
 def test_ef_reflexive_symmetric():

@@ -166,7 +166,8 @@ def test_equal_formulas_are_one_object():
     assert copy.deepcopy(phi) is phi
     assert pickle.loads(pickle.dumps(phi)) is phi
     assert hash(phi) == hash(parse(pretty(phi), V, QS))
-    assert phi.shapes == (("I", (1, 1)),)
+    assert phi.shapes == {("quantifier", "I", (1, 1)), ("relation", "P", 1),
+                          ("relation", "R", 2)}
 
 
 def test_node_table_empties_when_formulas_die():
