@@ -16,6 +16,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
+import numpy as np
+
 from .evaluator import define_relation
 from .model import PartialArithModel, partial_arith, zero_rows
 from .sets import NumericalSet, floor_nth_root, occurrence_set
@@ -49,42 +51,34 @@ def mu_relation_oracle(pm: PartialArithModel) -> frozenset:
     return define_relation(pm.as_br_model(), mu_formula(), ("x", "y", "z"))
 
 
-def _half_round(n: int, mult: frozenset) -> set:
-    """Tuples (x, y, xy) with x = tu + t'u' over pairs usable at y."""
-    out = set()
-    limit = (1 << n) - 1
-    for y in range(n):
-        vals = set()
-        for t, u, tu in mult:
-            uy = u * y
-            if uy < n and (u, y, uy) in mult and tu * y < n \
-                    and (t, uy, tu * y) in mult:
-                vals.add(tu)
-        if not vals:
-            continue
-        mask = 0
-        for v in vals:
-            mask |= 1 << v
-        sums = 0
-        for v in vals:
-            sums |= mask << v
-        sums &= limit
-        x = 0
-        while sums:
-            if sums & 1 and x * y < n:
-                out.add((x, y, x * y))
-            sums >>= 1
-            x += 1
+def _half_round(known: np.ndarray) -> np.ndarray:
+    """out[y, x]: x = tu + t'u' over products v = tu usable at y (t*u,
+    u*y and t*(uy) all known), and x*y < n."""
+    n = len(known)
+    usable = np.zeros((n, n), dtype=bool)   # usable[y, v]
+    # u = 0 gives v = 0 at each y with 0*y known, once some t*0 is known
+    usable[:, 0] = known[0] & known[:, 0].any()
+    for u in range(1, n):
+        ys, ts = known[u].nonzero()[0], known[:, u].nonzero()[0]
+        if ys.size and ts.size:
+            # every t*u at every y in one gather of known[t, u*y]
+            usable[ys[:, None], ts * u] |= known[ts, ys[:, None] * u]
+    out = np.zeros((n, n), dtype=bool)
+    for y in usable.any(axis=1).nonzero()[0].tolist():
+        width = (n - 1) // y + 1 if y else n   # x < ceil(n/y)
+        row, sums = usable[y, :width], out[y, :width]
+        for v in row.nonzero()[0].tolist():
+            sums[v:] |= row[:width - v]
     return out
 
 
 def mu_relation(pm: PartialArithModel) -> frozenset:
-    half = _half_round(pm.n, pm.mult)
-    return frozenset(half | {(y, x, z) for x, y, z in half})
+    return mu_step(pm).mult
 
 
 def mu_step(pm: PartialArithModel) -> PartialArithModel:
-    return PartialArithModel(pm.n, mu_relation(pm))
+    half = _half_round(pm.known)
+    return PartialArithModel(pm.n, known=half | half.T)
 
 
 def default_rounds(k: int) -> int:
@@ -101,7 +95,7 @@ def extension_trace(pm: PartialArithModel, k: int) -> list:
     trace = [pm]
     for _ in range(default_rounds(k)):
         trace.append(mu_step(trace[-1]))
-        if trace[-1].mult == trace[-2].mult:
+        if trace[-1] == trace[-2]:
             break
     return trace
 

@@ -57,11 +57,15 @@ def _parse_assign(text: str) -> dict:
 
 
 def fraction(text: str) -> Fraction:
-    """An --eps value p/q; argparse shows a ValueError as "invalid fraction"."""
+    """An --eps value p/q with 0 < p/q < 1; argparse shows a ValueError
+    as "invalid fraction"."""
     try:
-        return Fraction(text)
+        eps = Fraction(text)
     except ZeroDivisionError as exc:
         raise ValueError(text) from exc
+    if not 0 < eps < 1:
+        raise argparse.ArgumentTypeError(f"need 0 < epsilon < 1, got {text}")
+    return eps
 
 
 def _load_config(path: str):
@@ -180,8 +184,8 @@ def _print_trace(trace, a_star=None):
     print("round  triples" + ("  gamma(a*)" if a_star else ""))
     for i, step in enumerate(trace):
         gamma = f"  {step.gamma(a_star):>9}" if a_star else ""
-        print(f"{i:>5}  {len(step.mult):>7}{gamma}")
-    if len(trace) > 1 and trace[-1].mult == trace[-2].mult:
+        print(f"{i:>5}  {step.known.sum():>7}{gamma}")
+    if len(trace) > 1 and trace[-1] == trace[-2]:
         print(f"fixed point at round {len(trace) - 1}")
 
 
@@ -287,7 +291,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--set", required=True, help="set-spec, e.g. sq or fact")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--eps", type=fraction,
-                   help="p/q; also run the looseness scans")
+                   help="p/q in (0, 1); also run the looseness scans")
     p.set_defaults(run=_cmd_analyze_set)
 
     p = sub.add_parser("mulext", help="extend a rectangle seed, with trace")

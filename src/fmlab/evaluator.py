@@ -69,7 +69,7 @@ class _Engine:
     def __init__(self, m: BrModel, builtins=None, quantifiers=None):
         self.m = m
         self.builtins = (builtins if builtins is not None
-                         else modelmod.builtin_registry())
+                         else modelmod.default_builtins())
         self.quantifiers = (quantifiers if quantifiers is not None
                             else default_quantifiers())
         self.memo: dict = {}

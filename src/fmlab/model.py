@@ -5,9 +5,12 @@ structures, partial arithmetic)."""
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional
+
+import numpy as np
 
 from . import sets as setsmod
 from .sets import NumericalSet
@@ -118,6 +121,11 @@ def builtin_registry(set_registry: Optional[dict[str, NumericalSet]] = None
     out = _Registry()
     out.update(regs)
     return out
+
+
+@functools.lru_cache(maxsize=None)
+def default_builtins() -> dict[str, NumericalRelation]:
+    return builtin_registry()
 
 
 def relativize(m: BrModel, universe) -> tuple[BrModel, dict[int, int]]:
@@ -251,25 +259,38 @@ def powerset_structure(k: int) -> BrModel:
 
 class PartialArithModel:
     """Domain size n with full restricted addition (derived) and a partial
-    multiplication relation (every triple satisfies a*b = c < n)."""
+    multiplication, stored as the n x n bool matrix `known`: known[a, b]
+    says that a*b is known, so a*b < n.  Give the triples (a, b, a*b) or
+    the matrix."""
 
-    def __init__(self, n: int, mult: Iterable[tuple]):
+    def __init__(self, n: int, mult: Iterable[tuple] = (), known=None):
         if n < 1:
             raise ValueError("n must be positive")
         self.n = n
-        m = frozenset(tuple(t) for t in mult)
-        bad = [t for t in m
-               if len(t) != 3 or any(not 0 <= x < n for x in t) or t[0] * t[1] != t[2]]
-        if bad:
-            raise ValueError(f"seed tuples violate a*b=c<n: {sorted(bad)[:10]}")
-        self.mult = m
+        if known is None:
+            m = frozenset(tuple(t) for t in mult)
+            bad = [t for t in m
+                   if len(t) != 3 or any(not 0 <= x < n for x in t) or t[0] * t[1] != t[2]]
+            if bad:
+                raise ValueError(f"seed tuples violate a*b=c<n: {sorted(bad)[:10]}")
+            known = np.zeros((n, n), dtype=bool)
+            known[[a for a, _, _ in m], [b for _, b, _ in m]] = True
+        elif known.shape != (n, n) or not _products_fit(known):
+            raise ValueError("known products need a*b < n")
+        self.known = known
+
+    @property
+    def mult(self) -> frozenset:
+        """The triples (a, b, a*b), built from `known` on each access."""
+        a, b = np.nonzero(self.known)
+        return frozenset(zip(a.tolist(), b.tolist(), (a * b).tolist()))
 
     def __eq__(self, other):
-        return (isinstance(other, PartialArithModel)
-                and self.n == other.n and self.mult == other.mult)
+        return (isinstance(other, PartialArithModel) and self.n == other.n
+                and np.array_equal(self.known, other.known))
 
     def __repr__(self):
-        return f"PartialArithModel(n={self.n}, |M|={len(self.mult)})"
+        return f"PartialArithModel(n={self.n}, |M|={np.count_nonzero(self.known)})"
 
     def addition_triples(self):
         for a in range(self.n):
@@ -277,14 +298,30 @@ class PartialArithModel:
                 yield (a, b, a + b)
 
     def gamma(self, k: int) -> int:
-        return gamma_control(self.mult, k)
+        """Biggest r with r=0 or a*b known for every a<=k, b<=r.  Zero
+        products count: the b=0 column (and a=0 row) must be known for
+        r >= 1."""
+        if k >= self.n:
+            return 0
+        full = self.known[:k + 1].all(axis=0)
+        first = int(full.argmin())   # the first column not known up to k
+        return self.n - 1 if full[first] else max(first - 1, 0)
 
     def is_full(self) -> bool:
-        return self.mult == frozenset(full_multiplication(self.n))
+        # known holds only products below n, so counting them suffices
+        n = self.n
+        return np.count_nonzero(self.known) == n + sum((n - 1) // a + 1 for a in range(1, n))
 
     def as_br_model(self) -> BrModel:
         return BrModel(self.n, {"A": 3, "M": 3},
                        {"A": set(self.addition_triples()), "M": self.mult})
+
+
+def _products_fit(known: np.ndarray) -> bool:
+    """Every known (a, b) has a*b < n: test the last known b of each row."""
+    n = len(known)
+    last = n - 1 - known[:, ::-1].argmax(axis=1)
+    return not (known.any(axis=1) & (np.arange(n) * last >= n)).any()
 
 
 def full_multiplication(n: int) -> set[tuple]:
@@ -301,21 +338,6 @@ def partial_arith(n: int, seed: Iterable[tuple],
     if close_commutative:
         m |= {(b, a, c) for a, b, c in m}
     return PartialArithModel(n, m)
-
-
-def gamma_control(mult: frozenset, k: int) -> int:
-    """Biggest r with r=0 or (a,b,ab) present for every a<=k, b<=r.
-    Zero products count: the b=0 column (and a=0 row) must be present for
-    r >= 1."""
-    if any((a, 0, 0) not in mult for a in range(k + 1)):
-        return 0
-    r = 0
-    while True:
-        b = r + 1
-        if all((a, b, a * b) in mult for a in range(k + 1)):
-            r = b
-        else:
-            return r
 
 
 # ---------------------------------------------------------------------------

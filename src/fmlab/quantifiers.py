@@ -186,7 +186,7 @@ def quantifier_from_sentence(name: str, vocab: Sequence[tuple], sentence,
     from . import evaluator  # deferred: evaluator is a higher layer
 
     vocab = list(vocab)
-    builtins = builtins if builtins is not None else modelmod.builtin_registry()
+    builtins = builtins if builtins is not None else modelmod.default_builtins()
     if engine not in ("topdown", "fast"):
         raise ValueError(f"unknown engine {engine!r}")
     run = evaluator.evaluate if engine == "topdown" else evaluator.evaluate_fast

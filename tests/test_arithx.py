@@ -36,6 +36,64 @@ def test_mu_fast_path_matches_formula(n, rng):
     assert mu_relation(pm) == mu_relation_oracle(pm)
 
 
+def reference_half_round(n: int, mult: frozenset) -> set:
+    """The extension round on triple sets: tuples (x, y, xy) with
+    x = tu + t'u' over the products tu usable at y."""
+    out = set()
+    limit = (1 << n) - 1
+    for y in range(n):
+        vals = set()
+        for t, u, tu in mult:
+            uy = u * y
+            if uy < n and (u, y, uy) in mult and tu * y < n \
+                    and (t, uy, tu * y) in mult:
+                vals.add(tu)
+        if not vals:
+            continue
+        mask = 0
+        for v in vals:
+            mask |= 1 << v
+        sums = 0
+        for v in vals:
+            sums |= mask << v
+        sums &= limit
+        x = 0
+        while sums:
+            if sums & 1 and x * y < n:
+                out.add((x, y, x * y))
+            sums >>= 1
+            x += 1
+    return out
+
+
+def reference_mu_relation(pm: PartialArithModel) -> frozenset:
+    half = reference_half_round(pm.n, pm.mult)
+    return frozenset(half | {(y, x, z) for x, y, z in half})
+
+
+@pytest.mark.parametrize("n", [216, 512, 1000])
+def test_round_matches_reference_on_rectangle_seeds(n):
+    _, pm = choose_seed(n, 3)
+    assert mu_relation(pm) == reference_mu_relation(pm)
+
+
+@given(st.integers(1, 150), st.floats(0, 1), st.booleans(),
+       st.randoms(use_true_random=False))
+@settings(max_examples=30, deadline=None)
+def test_round_matches_reference_on_random_models(n, p, with_zero, rng):
+    pm = random_pm(rng, n, p=p * p, with_zero=with_zero)
+    assert mu_relation(pm) == reference_mu_relation(pm)
+
+
+@pytest.mark.parametrize("n, mult", [
+    (1, ()), (1, {(0, 0, 0)}), (7, ()), (7, {(2, 3, 6)}),
+    (7, {(0, 3, 0), (2, 3, 6)}),   # 0*3 known, but no t*0
+])
+def test_round_matches_reference_at_the_edges(n, mult):
+    pm = PartialArithModel(n, mult)
+    assert mu_relation(pm) == reference_mu_relation(pm)
+
+
 def test_mu_output_is_partial_multiplication():
     rng = random.Random(3)
     for _ in range(20):

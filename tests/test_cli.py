@@ -317,6 +317,8 @@ def test_missing_model_file(capsys):
     ["eval", "--model", "M", "--formula", "U(x)", "--assign", "x=7"],
     ["eval", "--model", "M", "--formula", "U(x, y)", "--assign", "x=0,y=0"],
     ["analyze-set", "--set", "sq", "--n", "100", "--eps", "1/0"],
+    ["analyze-set", "--set", "sq", "--n", "100", "--eps", "0"],
+    ["analyze-set", "--set", "sq", "--n", "100", "--eps", "3/2"],
     ["pipeline", "--set", "sq", "--n", "100", "--eps", "1/0"],
     ["pipeline", "--set", "sq", "--n", "100", "--eps", "0"],
     ["ef", "--model", "M", "--model", "M", "--rank", "-1"],

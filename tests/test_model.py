@@ -1,12 +1,14 @@
 import itertools
 import random
+import re
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from fmlab import model as M
-from fmlab.model import (BrModel, br_isomorphic, builtin_registry,
-                         full_multiplication, gamma_control, is_padding,
+from fmlab.model import (BrModel, PartialArithModel, br_isomorphic,
+                         builtin_registry, full_multiplication, is_padding,
                          partial_arith, parse_model, format_model,
                          powerset_structure, relativize, word_model,
                          zero_rows)
@@ -152,18 +154,64 @@ def test_partial_arith_validation():
     assert full.is_full()
 
 
+def test_partial_arith_closes_commutatively():
+    pm = partial_arith(10, {(2, 3, 6), (0, 4, 0)}, close_commutative=True)
+    assert pm.mult == {(2, 3, 6), (3, 2, 6), (0, 4, 0), (4, 0, 0)}
+
+
+@pytest.mark.parametrize("bad, shown", [
+    ({(2, 3, 7)}, "[(2, 3, 7)]"),
+    ({(2, 5, 10), (1, 2, 2)}, "[(2, 5, 10)]"),
+    ({(-1, 0, 0), (2, 3)}, "[(-1, 0, 0), (2, 3)]"),
+])
+def test_bad_triples_name_the_offenders(bad, shown):
+    with pytest.raises(ValueError, match=re.escape(
+            f"seed tuples violate a*b=c<n: {shown}")):
+        PartialArithModel(10, bad)
+
+
+def test_known_matrix_is_checked():
+    known = np.zeros((10, 10), dtype=bool)
+    known[3, 3] = True
+    assert PartialArithModel(10, known=known).mult == {(3, 3, 9)}
+    known[3, 4] = True
+    with pytest.raises(ValueError, match=re.escape("a*b < n")):
+        PartialArithModel(10, known=known)
+    with pytest.raises(ValueError):
+        PartialArithModel(9, known=np.zeros((10, 10), dtype=bool))
+
+
+@given(st.integers(1, 40), st.floats(0, 1), st.booleans(),
+       st.randoms(use_true_random=False))
+@settings(max_examples=60)
+def test_mult_view_round_trips(n, p, with_zero, rng):
+    picked = {t for t in full_multiplication(n) if rng.random() < p}
+    if with_zero:
+        picked |= zero_rows(n)
+    pm = PartialArithModel(n, picked)
+    assert pm.mult == picked
+    assert PartialArithModel(n, pm.mult) == pm
+    assert PartialArithModel(n, known=pm.known.copy()) == pm
+    assert pm.is_full() == (picked == full_multiplication(n))
+
+
+def gamma_of(n, mult, k):
+    return PartialArithModel(n, mult).gamma(k)
+
+
 def test_gamma_examples():
-    full10 = frozenset(full_multiplication(10))
-    assert gamma_control(full10, 3) == 3
-    assert gamma_control(frozenset(), 2) == 0
-    assert gamma_control(full10, 0) == 9
+    full10 = full_multiplication(10)
+    assert gamma_of(10, full10, 3) == 3
+    assert gamma_of(10, (), 2) == 0
+    assert gamma_of(10, full10, 0) == 9
+    assert gamma_of(10, full10, 10) == 0
 
 
 @given(st.integers(2, 20), st.integers(1, 6))
 @settings(max_examples=60)
 def test_gamma_upper_bound(n, k):
     # gamma(full multiplication, k) <= floor((n-1)/k)
-    g = gamma_control(frozenset(full_multiplication(n)), k)
+    g = gamma_of(n, full_multiplication(n), k)
     assert g <= (n - 1) // k
 
 
@@ -176,7 +224,7 @@ def test_gamma_monotone(n, k_small, dk, rng):
     sub = {t for t in base if rng.random() < 0.7} | zero_rows(n)
     sup = sub | {t for t in base if rng.random() < 0.5}
     k = k_small + dk
-    assert gamma_control(frozenset(sub), k) <= gamma_control(frozenset(sup), k_small)
+    assert gamma_of(n, sub, k) <= gamma_of(n, sup, k_small)
 
 
 def test_model_file_round_trip():
