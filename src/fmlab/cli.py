@@ -335,9 +335,14 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.run(args)
-    except (UsageError, ParseError, ValueError, OSError,
+    except (UsageError, ParseError, ValueError, OSError, MemoryError,
             BudgetExceeded, HorizonExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except RecursionError:
+        # the parser caps nesting, but not a flat chain of connectives,
+        # which the recursive walks still descend one level per connective
+        print("error: formula nested too deeply to process", file=sys.stderr)
         return 2
 
 

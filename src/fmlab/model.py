@@ -168,11 +168,11 @@ def br_isomorphic(m1: BrModel, m2: BrModel) -> bool:
 PADDING_SEARCH_CAP = 16
 
 
-def is_padding(small: BrModel, big: BrModel, witness=None
+def is_padding(small: BrModel, big: BrModel
                ) -> tuple[bool, Optional[frozenset]]:
     """Is `big` a padding of `small`: some U with big|U isomorphic to small
     and every relation of big contained in U?  Exhaustive search over U up
-    to the size cap; above it a candidate witness must be supplied."""
+    to the size cap; above it a ValueError."""
     if small.arities != big.arities:
         raise ValueError("vocabulary mismatch")
     support = {x for tuples in big.rels.values() for t in tuples for x in t}
@@ -183,12 +183,8 @@ def is_padding(small: BrModel, big: BrModel, witness=None
         sub, _ = relativize(big, u)
         return br_isomorphic(small, sub)
 
-    if witness is not None:
-        w = frozenset(witness)
-        return (True, w) if check(w) else (False, None)
     if big.n > PADDING_SEARCH_CAP:
-        raise ValueError(f"domain above the search cap {PADDING_SEARCH_CAP}; "
-                         "supply a witness")
+        raise ValueError(f"domain above the search cap {PADDING_SEARCH_CAP}")
     if len(support) > small.n:
         return False, None
     rest = sorted(set(range(big.n)) - support)
@@ -358,6 +354,9 @@ def parse_model(text: str) -> BrModel:
     rels: dict[str, set] = {}
     for ln in lines[1:-1]:
         parts = ln.split()
+        # `n` takes a size, `rel` a name and an arity
+        if len(parts) < {"n": 2, "rel": 3}.get(parts[0], 1):
+            raise ValueError(f"too few fields in model line {ln!r}")
         if parts[0] == "n":
             n = int(parts[1])
         elif parts[0] == "f":

@@ -254,11 +254,8 @@ def subformulas(phi: Formula):
 
 IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_']*")
 
-TOKEN_RE = re.compile(rf"""
-    (?P<ws>\s+)
-  | (?P<ident>{IDENT_RE.pattern})
-  | (?P<op><->|->|<=|[()\.;:,=<+&|!#@])
-""", re.VERBOSE)
+# one token, a name or an operator, after any whitespace
+TOKEN_RE = re.compile(rf"\s*({IDENT_RE.pattern}|<->|->|<=|[()\.;:,=<+&|!#@])")
 
 
 class ParseError(ValueError):
@@ -267,18 +264,14 @@ class ParseError(ValueError):
         self.pos = pos
 
 
-def tokenize(text: str):
-    out = []
-    pos = 0
-    while pos < len(text):
-        m = TOKEN_RE.match(text, pos)
-        if not m:
-            raise ParseError(f"unexpected character {text[pos]!r}", pos)
-        if m.lastgroup != "ws":
-            out.append((m.group(), pos))
-        pos = m.end()
-    out.append(("<eof>", len(text)))
-    return out
+def tokenize(text: str) -> list[str]:
+    """The tokens of `text`, whitespace dropped."""
+    toks = TOKEN_RE.findall(text)
+    # findall skips a character that starts no token
+    if "".join(toks) != "".join(text.split()):
+        pos = re.match(rf"(?:{TOKEN_RE.pattern})*\s*", text).end()
+        raise ParseError(f"unexpected character {text[pos]!r}", pos)
+    return toks
 
 
 RESERVED = {"E", "A", "EX", "AX"}
@@ -300,7 +293,8 @@ class Parser:
 
     def __init__(self, text: str, vocab: Optional[dict] = None,
                  quants: Optional[dict] = None):
-        self.toks = tokenize(text)
+        self.text = text
+        self.toks = tokenize(text) + ["<eof>"]
         self.i = 0
         self.vocab = vocab
         self.quants = quants
@@ -308,31 +302,33 @@ class Parser:
         self.set_scope: list[str] = []  # set variables bound by EX/AX
 
     def peek(self):
-        return self.toks[self.i][0]
-
-    def pos(self):
-        return self.toks[self.i][1]
+        return self.toks[self.i]
 
     def next(self):
-        tok = self.toks[self.i]
         self.i += 1
-        return tok[0]
+        return self.toks[self.i - 1]
+
+    def error(self, msg: str) -> ParseError:
+        """A ParseError at the current token; token positions are found
+        only here."""
+        starts = [m.start(1) for m in TOKEN_RE.finditer(self.text)]
+        return ParseError(msg, [*starts, len(self.text)][self.i])
 
     def expect(self, tok):
         if self.peek() != tok:
-            raise ParseError(f"expected {tok!r}, found {self.peek()!r}", self.pos())
+            raise self.error(f"expected {tok!r}, found {self.peek()!r}")
         return self.next()
 
     def ident(self):
         tok = self.peek()
         if not IDENT_RE.fullmatch(tok):
-            raise ParseError(f"expected a name, found {tok!r}", self.pos())
+            raise self.error(f"expected a name, found {tok!r}")
         return self.next()
 
     def fo_var(self):
         v = self.ident()
         if is_set_var(v):
-            raise ParseError(f"{v!r} is not a first-order variable", self.pos())
+            raise self.error(f"{v!r} is not a first-order variable")
         return v
 
     def fo_vars(self) -> tuple:
@@ -356,8 +352,7 @@ class Parser:
         # every nesting level passes through here
         self.depth += 1
         if self.depth > MAX_DEPTH:
-            raise ParseError(f"formula nested deeper than {MAX_DEPTH}",
-                             self.pos())
+            raise self.error(f"formula nested deeper than {MAX_DEPTH}")
         if self.peek() == "!":
             self.next()
             out = Not(self.neg())
@@ -376,17 +371,17 @@ class Parser:
             self.expect(".")
             return Count(var, target, self.neg())
         # `E(`/`A(` is a relation atom: a binder always takes a bare variable
-        if tok in ("E", "A") and self.toks[self.i + 1][0] != "(":
+        if tok in ("E", "A") and self.toks[self.i + 1] != "(":
             self.next()
             var = self.fo_var()
             self.expect(".")
             body = self.neg()
             return Exists(var, body) if tok == "E" else Forall(var, body)
-        if tok in ("EX", "AX") and self.toks[self.i + 1][0] != "(":
+        if tok in ("EX", "AX") and self.toks[self.i + 1] != "(":
             self.next()
             sv = self.ident()
             if not is_set_var(sv):
-                raise ParseError(f"{sv!r} is not a set variable", self.pos())
+                raise self.error(f"{sv!r} is not a set variable")
             self.expect(".")
             self.set_scope.append(sv)
             body = self.neg()
@@ -395,90 +390,67 @@ class Parser:
         if self.quants is not None and tok in self.quants:
             return self.qapp(self.next())
         if (self.quants is None and IDENT_RE.fullmatch(tok)
-                and tok not in RESERVED and self._looks_like_qapp()):
+                and tok not in RESERVED and self._sugar_follows()):
             return self.qapp(self.next())
         return self.prim()
 
-    def _looks_like_qapp(self) -> bool:
-        # with no registry, disambiguate Q(...) from R(...) by the presence
-        # of ':' or ';' before the matching close paren, or a varlist+dot
+    def _sugar_follows(self) -> bool:
+        # with no registry, `Q x, y.` (names and commas, then a dot) is an
+        # application; `Q(` is told from `R(` in `prim`
         j = self.i + 1
-        if j < len(self.toks) and self.toks[j][0] != "(":
-            # `Q x,y. ...` sugar
-            while j < len(self.toks):
-                t = self.toks[j][0]
-                if t == ".":
-                    return True
-                if IDENT_RE.fullmatch(t) or t == ",":
-                    j += 1
-                    continue
-                return False
-            return False
-        depth = 0
-        while j < len(self.toks):
-            t = self.toks[j][0]
-            if t == "(":
-                depth += 1
-            elif t == ")":
-                depth -= 1
-                if depth == 0:
-                    return False
-            elif depth == 1 and t in (":", ";"):
-                return True
+        while IDENT_RE.fullmatch(self.toks[j]) or self.toks[j] == ",":
             j += 1
-        return False
+        return self.toks[j] == "."
 
     def qapp(self, qname: str) -> Formula:
         if self.peek() == "(":
             self.next()
-            slots = [self.slot()]
-            while self.peek() == ";":
-                self.next()
-                slots.append(self.slot())
-            self.expect(")")
-        else:
-            vars_ = self.fo_vars()
-            self.expect(".")
-            slots = self.sugared_slots(qname, vars_)
-        phi = QApp(qname, tuple(slots))
-        self.check_qapp(phi)
-        return phi
-
-    def slot(self):
+            return self.explicit_qapp(qname, self.fo_vars())
         vars_ = self.fo_vars()
+        self.expect(".")
+        return self.check_qapp(QApp(qname, self.sugared_slots(qname, vars_)))
+
+    def explicit_qapp(self, qname: str, vars_: tuple) -> Formula:
+        """The rest of `qname(x, y: phi; z: psi)` once `qname(x, y` is
+        read."""
+        slots = [self.slot(vars_)]
+        while self.peek() == ";":
+            self.next()
+            slots.append(self.slot(self.fo_vars()))
+        self.expect(")")
+        return self.check_qapp(QApp(qname, tuple(slots)))
+
+    def slot(self, vars_: tuple):
         self.expect(":")
         return (vars_, self.formula())
 
-    def sugared_slots(self, qname, vars_):
+    def sugared_slots(self, qname, vars_) -> tuple:
         # `Q x,y. (phi; psi)` distributes one variable per slot;
-        # `Q x,y. phi` is a single slot binding the whole tuple.
-        if self.peek() == "(":
-            save = self.i
+        # `Q x,y. phi` and `Q x,y. (phi)` are a single slot binding the
+        # whole tuple.
+        if self.peek() != "(":
+            return ((vars_, self.neg()),)
+        self.next()
+        bodies = [self.formula()]
+        while self.peek() == ";":
             self.next()
-            first = self.formula()
-            if self.peek() == ";":
-                bodies = [first]
-                while self.peek() == ";":
-                    self.next()
-                    bodies.append(self.formula())
-                self.expect(")")
-                if len(bodies) != len(vars_):
-                    raise ParseError(
-                        f"{qname}: {len(vars_)} bound variables for "
-                        f"{len(bodies)} slot formulas", self.pos())
-                return [((v,), b) for v, b in zip(vars_, bodies)]
-            self.i = save
-        return [(vars_, self.neg())]
+            bodies.append(self.formula())
+        self.expect(")")
+        if len(bodies) == 1:
+            return ((vars_, bodies[0]),)
+        if len(bodies) != len(vars_):
+            raise self.error(f"{qname}: {len(vars_)} bound variables for "
+                             f"{len(bodies)} slot formulas")
+        return tuple(((v,), b) for v, b in zip(vars_, bodies))
 
-    def check_qapp(self, phi: QApp):
-        if self.quants is None:
-            return
-        shape = self.quants[phi.qname]
-        got = [len(vs) for vs, _ in phi.slots]
-        if got != list(shape):
-            raise ParseError(
-                f"{phi.qname} expects slot arities {list(shape)}, got {got}",
-                self.pos())
+    def check_qapp(self, phi: QApp) -> QApp:
+        if self.quants is not None:
+            shape = self.quants[phi.qname]
+            got = [len(vs) for vs, _ in phi.slots]
+            if got != list(shape):
+                raise self.error(f"{phi.qname} expects slot arities "
+                                 f"{list(shape)}, got {got}")
+        return phi
 
     def prim(self) -> Formula:
         tok = self.peek()
@@ -501,29 +473,33 @@ class Parser:
         if self.peek() == "(":
             self.next()
             args = self.fo_vars()
+            # with no registry, a `:` or `;` after the variables makes
+            # this a quantifier application
+            if (self.quants is None and name not in RESERVED
+                    and self.peek() in (":", ";")):
+                return self.explicit_qapp(name, args)
             self.expect(")")
             # a set variable bound by an enclosing EX/AX shadows a
             # relation of the same name
             bound = name in self.set_scope
             if self.vocab is not None and name in self.vocab and not bound:
                 if len(args) != self.vocab[name]:
-                    raise ParseError(
-                        f"{name} has arity {self.vocab[name]}, got {len(args)}",
-                        self.pos())
+                    raise self.error(f"{name} has arity {self.vocab[name]}, "
+                                     f"got {len(args)}")
                 return Atom(name, args)
             if bound or (is_set_var(name) and self.vocab is not None):
                 if len(args) != 1:
-                    raise ParseError(f"set variable {name} applied to "
-                                     f"{len(args)} arguments", self.pos())
+                    raise self.error(f"set variable {name} applied to "
+                                     f"{len(args)} arguments")
                 return SetAtom(name, args[0])
             if self.vocab is None:
                 # without a vocabulary every other application is read as
                 # a relation atom
                 return Atom(name, args)
-            raise ParseError(f"unknown relation {name!r}", self.pos())
+            raise self.error(f"unknown relation {name!r}")
         # variable-led sugar: x=y, x<y, x<=y, x+y=z
         if is_set_var(name):
-            raise ParseError(f"unexpected set variable {name!r}", self.pos())
+            raise self.error(f"unexpected set variable {name!r}")
         nxt = self.peek()
         if nxt == "=":
             self.next()
@@ -539,7 +515,7 @@ class Parser:
             second = self.fo_var()
             self.expect("=")
             return BuiltinAtom("plus", (name, second, self.fo_var()))
-        raise ParseError(f"unexpected token after {name!r}: {nxt!r}", self.pos())
+        raise self.error(f"unexpected token after {name!r}: {nxt!r}")
 
 
 def parse(text: str, vocab: Optional[dict] = None,
@@ -547,7 +523,7 @@ def parse(text: str, vocab: Optional[dict] = None,
     p = Parser(text, vocab, quants)
     out = p.formula()
     if p.peek() != "<eof>":
-        raise ParseError(f"trailing input {p.peek()!r}", p.pos())
+        raise p.error(f"trailing input {p.peek()!r}")
     return out
 
 

@@ -298,6 +298,40 @@ def test_deep_input_is_usage_error(argv, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("line", ["n", "rel U", "rel"])
+def test_model_line_with_too_few_fields_is_usage_error(tmp_path, capsys,
+                                                       line):
+    p = tmp_path / "bad.txt"
+    p.write_text(f"model\nn 3\n{line}\nend\n")
+    assert main(["eval", "--model", str(p), "--formula", "x = x",
+                 "--assign", "x=0"]) == 2
+    err = capsys.readouterr().err
+    assert repr(line) in err and "Traceback" not in err
+
+
+def test_out_of_memory_is_usage_error(capsys):
+    # the membership table for n = 10^18 is larger than any address space
+    assert main(["analyze-set", "--set", "pow2",
+                 "--n", str(10 ** 18)]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize("command, conjuncts", [
+    (["parse"], 2000),
+    (["eval", "--model", "M", "--assign", "x=0"], 500),
+])
+def test_long_connective_chain_is_usage_error(tmp_path, capsys, command,
+                                              conjuncts):
+    # the parser accepts a flat chain of any length; the recursive walks
+    # behind printing and evaluation cannot descend it
+    p = tmp_path / "two.txt"
+    p.write_text("model\nn 2\nend\n")
+    argv = [str(p) if a == "M" else a for a in command]
+    text = " & ".join(["x = x"] * conjuncts)
+    assert main([*argv, "--formula", text]) == 2
+    assert "nested too deeply" in capsys.readouterr().err
+
+
 def test_analyze_set_small_eps(capsys):
     assert main(["analyze-set", "--set", "sq", "--n", "200",
                  "--eps", "1/200"]) == 0

@@ -7,9 +7,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fmlab import model as M
-from fmlab.model import (BrModel, PartialArithModel, br_isomorphic,
-                         builtin_registry, full_multiplication, is_padding,
-                         partial_arith, parse_model, format_model,
+from fmlab.model import (PADDING_SEARCH_CAP, BrModel, PartialArithModel,
+                         br_isomorphic, builtin_registry, full_multiplication,
+                         is_padding, partial_arith, parse_model, format_model,
                          powerset_structure, relativize, word_model,
                          zero_rows)
 
@@ -124,6 +124,9 @@ def test_is_padding():
     assert ok and {0, 1} <= set(u)
     assert is_padding(small, small)[0]
     assert not is_padding(small, word_model("ba"))[0]
+    above_cap = BrModel(PADDING_SEARCH_CAP + 1, big.arities, big.rels)
+    with pytest.raises(ValueError, match="search cap"):
+        is_padding(small, above_cap)
 
 
 def test_word_model():

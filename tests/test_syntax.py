@@ -145,12 +145,72 @@ def test_conj_disj_helpers():
         conj([])
 
 
+@pytest.mark.parametrize("vocab, quants", [(V, QS), (V, None), (None, QS),
+                                           (None, None)])
 @given(st.integers(1, 4), st.randoms(use_true_random=False))
 @settings(max_examples=150, deadline=None)
-def test_pretty_parse_round_trip(depth, rng):
+def test_pretty_parse_round_trip(vocab, quants, depth, rng):
     phi = random_formula(rng, V, depth, ("x", "y"), quants=QS,
                          builtins=("le", "lt", "plus"), allow_count=True)
-    assert parse(pretty(phi), V, QS) is phi
+    assert parse(pretty(phi), vocab, quants) is phi
+
+
+@pytest.mark.parametrize("text, vocab, quants, message", [
+    # a bad character after whitespace
+    ("x =  $y", None, None, "unexpected character '$' (at position 5)"),
+    ("P(x) &\t%", V, QS, "unexpected character '%' (at position 7)"),
+    # an unbalanced parenthesis
+    ("(x = x", None, None, "expected ')', found '<eof>' (at position 6)"),
+    ("(P(x) | P(y)))", V, QS, "trailing input ')' (at position 13)"),
+    ("P(x) P(y)", V, QS, "trailing input 'P' (at position 5)"),
+    # the end of input
+    ("x =", None, None, "expected a name, found '<eof>' (at position 3)"),
+    ("E x.", None, None, "expected a name, found '<eof>' (at position 4)"),
+    ("P(x, y)", V, QS, "P has arity 1, got 2 (at position 7)"),
+    ("Unknown2(x, y)", V, QS,
+     "set variable Unknown2 applied to 2 arguments (at position 14)"),
+    ("foo(x, y)", V, QS, "unknown relation 'foo' (at position 9)"),
+    ("I x, y. (P(x); P(y); P(x))", V, QS,
+     "I: 2 bound variables for 3 slot formulas (at position 26)"),
+    ("Q x, y. (P(x); P(y); P(x))", V, None,
+     "Q: 2 bound variables for 3 slot formulas (at position 26)"),
+    ("I(x: P(x))", V, QS,
+     "I expects slot arities [1, 1], got [1] (at position 10)"),
+    ("!" * (MAX_DEPTH + 1) + "x = x", None, None,
+     f"formula nested deeper than {MAX_DEPTH} (at position {MAX_DEPTH})"),
+    ("(" * (MAX_DEPTH + 1) + "x = x" + ")" * (MAX_DEPTH + 1), None, None,
+     f"formula nested deeper than {MAX_DEPTH} (at position {MAX_DEPTH})"),
+    ("Q(x; y: P(y))", None, None, "expected ':', found ';' (at position 3)"),
+    ("E(x: P(x))", None, None, "expected ')', found ':' (at position 3)"),
+    # with no registry an application is recognised after its first
+    # variables, so a stray name there ends an atom
+    ("Q(x y: P(x))", V, None, "expected ')', found 'y' (at position 4)"),
+])
+def test_parse_error_message_and_position(text, vocab, quants, message):
+    with pytest.raises(ParseError) as info:
+        parse(text, vocab, quants)
+    assert str(info.value) == message
+    assert info.value.pos == int(message.rsplit(" ", 1)[1][:-1])
+
+
+OPERATORS = ("<->", "->", "<=", *"().;:,=<+&|!#@")
+
+
+@given(st.text(alphabet="xyQE_'1 \t\n\u3000\x1c()-<>=.;:,+&|!#@$%",
+               max_size=40))
+@settings(max_examples=400, deadline=None)
+def test_tokenize_drops_whitespace_or_stops_at_a_bad_character(text):
+    try:
+        toks = syntax.tokenize(text)
+    except ParseError as exc:
+        p = exc.pos
+        # the first character that starts no token
+        assert not text[p].isspace() and not text[p].isalpha()
+        assert text[p] != "_"
+        assert not any(text.startswith(op, p) for op in OPERATORS)
+        assert "".join(syntax.tokenize(text[:p])) == "".join(text[:p].split())
+    else:
+        assert "".join(toks) == "".join(text.split())
 
 
 def test_pretty_minimal_parens():
