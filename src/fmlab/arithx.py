@@ -19,8 +19,8 @@ from typing import Optional
 import numpy as np
 
 from .evaluator import define_relation
-from .model import PartialArithModel, partial_arith, zero_rows
-from .sets import NumericalSet, floor_nth_root, occurrence_set
+from .model import PartialArithModel
+from .sets import NumericalSet, floor_nth_root, gamma_s, occurrence_set
 from .syntax import Formula, parse
 
 ARITH_VOCAB = {"A": 3, "M": 3}
@@ -133,6 +133,17 @@ def _width_witness(n: int, k: int, start):
 # start relations
 
 
+def _rectangle(n: int, a: int, b: int) -> PartialArithModel:
+    """Zero rows plus every product of [1..a] x [1..b] below n, closed
+    under commutativity."""
+    known = np.zeros((n, n), dtype=bool)
+    known[:1] = known[:, :1] = True
+    rows = np.arange(1, min(a, n - 1) + 1)[:, None]
+    cols = np.arange(1, min(b, n - 1) + 1)
+    known[rows, cols] = rows * cols < n
+    return PartialArithModel(n, known=known | known.T)
+
+
 def seed_multiplication(n: int, a_star: int, height: Optional[int] = None
                         ) -> PartialArithModel:
     """Zero rows plus the complete product rectangle [0..a*] x [0..height],
@@ -144,11 +155,7 @@ def seed_multiplication(n: int, a_star: int, height: Optional[int] = None
         height = -(-n // (3 * a_star))
     if a_star * height >= n:
         raise ValueError("rectangle does not fit below n")
-    triples = set(zero_rows(n))
-    for a in range(1, a_star + 1):
-        for b in range(1, height + 1):
-            triples.add((a, b, a * b))
-    return partial_arith(n, triples, close_commutative=True)
+    return _rectangle(n, a_star, height)
 
 
 def choose_seed(n: int, k: int = 3):
@@ -168,22 +175,10 @@ def nu_from_set(s: NumericalSet, n: int, t: int,
     multiplies a <= t by b <= (number of such positions)."""
     if t < 1:
         raise ValueError("t must be positive")
-    s_len = len(word)
     occ = occurrence_set(s, word, n)
-    members = occ.elements_below(max(n - s_len - t + 1, 0))
-    prime = []
-    for m in members:
-        nxt = occ.next_above(m)
-        if (nxt is None or nxt - m >= t) and m + t < n:
-            prime.append(m)
-    width = len(prime)
-    triples = set(zero_rows(n))
-    for a in range(1, t + 1):
-        for b in range(1, width + 1):
-            if a * b >= n:
-                break
-            triples.add((a, b, a * b))
-    return partial_arith(n, triples, close_commutative=True)
+    # the width: occurrences m with gap >= t and m + t + len(word) <= n
+    bound = n - len(word) + 1
+    return _rectangle(n, t, gamma_s(occ, bound, t) if bound >= 1 else 0)
 
 
 @dataclass

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import re
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional
 
@@ -36,6 +37,8 @@ class BrModel:
         self.f = f
         rels = {}
         for name, ar in self.arities.items():
+            if ar < 0:
+                raise ValueError(f"relation {name} has negative arity {ar}")
             tuples = frozenset(tuple(t) for t in relations.get(name, ()))
             for t in tuples:
                 if len(t) != ar:
@@ -328,14 +331,6 @@ def zero_rows(n: int) -> set[tuple]:
     return {(a, 0, 0) for a in range(n)} | {(0, b, 0) for b in range(n)}
 
 
-def partial_arith(n: int, seed: Iterable[tuple],
-                  close_commutative: bool = False) -> PartialArithModel:
-    m = set(tuple(t) for t in seed)
-    if close_commutative:
-        m |= {(b, a, c) for a, b, c in m}
-    return PartialArithModel(n, m)
-
-
 # ---------------------------------------------------------------------------
 # model file format
 
@@ -343,7 +338,7 @@ def partial_arith(n: int, seed: Iterable[tuple],
 def parse_model(text: str) -> BrModel:
     """Line format: `model` / `n <int>` / optional `f <images>` /
     `rel <name> <arity> : (t) (t) ...` / `end`.  Unary tuples may omit
-    parentheses."""
+    parentheses.  An error in a line names the line."""
     lines = [ln.strip() for ln in text.splitlines()
              if ln.strip() and not ln.strip().startswith("#")]
     if not lines or lines[0] != "model" or lines[-1] != "end":
@@ -352,46 +347,43 @@ def parse_model(text: str) -> BrModel:
     f = None
     arities: dict[str, int] = {}
     rels: dict[str, set] = {}
+    seen = set()   # `n`, `f` and `rel <name>` each at most once
     for ln in lines[1:-1]:
         parts = ln.split()
-        # `n` takes a size, `rel` a name and an arity
-        if len(parts) < {"n": 2, "rel": 3}.get(parts[0], 1):
-            raise ValueError(f"too few fields in model line {ln!r}")
-        if parts[0] == "n":
-            n = int(parts[1])
-        elif parts[0] == "f":
-            f = [int(x) for x in parts[1:]]
-        elif parts[0] == "rel":
-            name, ar = parts[1], int(parts[2])
-            if ":" not in ln:
-                raise ValueError(f"missing ':' in relation line {ln!r}")
-            body = ln.split(":", 1)[1]
-            tuples = set()
-            if ar == 1 and "(" not in body:
-                tuples = {(int(tok),) for tok in body.split()}
+        try:
+            if parts[0] not in ("n", "f", "rel"):
+                raise ValueError("unknown kind of line")
+            # `n` takes a size, `rel` a name and an arity
+            if len(parts) < {"n": 2, "rel": 3}.get(parts[0], 1):
+                raise ValueError("too few fields")
+            key = " ".join(parts[:2]) if parts[0] == "rel" else parts[0]
+            if key in seen:
+                raise ValueError(f"repeats {key!r}")
+            seen.add(key)
+            if parts[0] == "n":
+                n = int(parts[1])
+            elif parts[0] == "f":
+                f = [int(x) for x in parts[1:]]
             else:
-                depth = 0
-                cur = ""
-                for ch in body:
-                    if ch == "(":
-                        depth += 1
-                        cur = ""
-                    elif ch == ")":
-                        depth -= 1
-                        if depth < 0:
-                            raise ValueError(f"unbalanced parens in {ln!r}")
-                        tuples.add(tuple(int(tok) for tok in
-                                         cur.replace(",", " ").split()))
-                    elif depth:
-                        cur += ch
-                    elif ch not in " \t":
-                        raise ValueError(f"stray token in tuple list of {ln!r}")
-                if depth:
-                    raise ValueError(f"unbalanced parens in {ln!r}")
-            arities[name] = ar
-            rels[name] = tuples
-        else:
-            raise ValueError(f"unknown model line {ln!r}")
+                name, ar = parts[1], int(parts[2])
+                if ":" not in ln:
+                    raise ValueError("missing ':'")
+                body = ln.split(":", 1)[1]
+                if ar == 1 and "(" not in body:
+                    tuples = {(int(tok),) for tok in body.split()}
+                else:
+                    # text outside the groups, then each group's contents
+                    pieces = re.split(r"\(([^()]*)\)", body)
+                    stray = " ".join(pieces[::2]).split()
+                    if stray:
+                        raise ValueError(f"stray {stray[0]!r} in tuple list")
+                    tuples = {tuple(int(tok) for tok in
+                                    group.replace(",", " ").split())
+                              for group in pieces[1::2]}
+                arities[name] = ar
+                rels[name] = tuples
+        except ValueError as exc:
+            raise ValueError(f"model line {ln!r}: {exc}") from None
     if n is None:
         raise ValueError("model file missing size line 'n <int>'")
     return BrModel(n, arities, rels, f)

@@ -179,22 +179,19 @@ def language_quantifier(lang: Language) -> Quantifier:
 
 
 def quantifier_from_sentence(name: str, vocab: Sequence[tuple], sentence,
-                             builtins=None, engine: str = "topdown") -> Quantifier:
+                             builtins=None) -> Quantifier:
     """`vocab` is an ordered list of (relation name, arity); the decision
-    procedure evaluates the sentence on the assembled br-structure with
-    the chosen engine ("topdown" or "fast")."""
+    procedure evaluates the sentence top-down on the assembled
+    br-structure."""
     from . import evaluator  # deferred: evaluator is a higher layer
 
     vocab = list(vocab)
     builtins = builtins if builtins is not None else modelmod.default_builtins()
-    if engine not in ("topdown", "fast"):
-        raise ValueError(f"unknown engine {engine!r}")
-    run = evaluator.evaluate if engine == "topdown" else evaluator.evaluate_fast
 
     def decide(n, rels, f):
         m = BrModel(n, {nm: ar for nm, ar in vocab},
                     {nm: rel for (nm, _), rel in zip(vocab, rels)}, f)
-        return run(m, sentence, {}, builtins=builtins)
+        return evaluator.evaluate(m, sentence, {}, builtins=builtins)
 
     return Quantifier(name, tuple(ar for _, ar in vocab), decide)
 

@@ -324,21 +324,27 @@ def parse_set_spec(text: str) -> NumericalSet:
         return primes()
     if text == "nat":
         return naturals()
-    if text.startswith("mult:"):
-        return multiples(int(text[5:]))
-    if text.startswith("poly:"):
-        return poly_range([int(c) for c in text[5:].split(",")])
-    if text.startswith("floorpow:"):
-        p, q = text[9:].split("/")
-        return floor_power_range(int(p), int(q))
-    if text.startswith("list:"):
-        body = text[5:]
-        return explicit([int(v) for v in body.split(",")] if body else [])
-    if text.startswith("shift:+"):
-        amount, rest = text[7:].split(":", 1)
-        return shifted(int(amount), parse_set_spec(rest))
     if text.startswith("compl:"):
         return complement(parse_set_spec(text[6:]))
+    # a malformed field names the spec; the spec inside shift: names itself
+    try:
+        if text.startswith("mult:"):
+            return multiples(int(text[5:]))
+        if text.startswith("poly:"):
+            return poly_range([int(c) for c in text[5:].split(",")])
+        if text.startswith("floorpow:"):
+            p, q = text[9:].split("/")
+            return floor_power_range(int(p), int(q))
+        if text.startswith("list:"):
+            body = text[5:]
+            return explicit([int(v) for v in body.split(",")] if body else [])
+        if text.startswith("shift:+"):
+            amount, rest = text[7:].split(":", 1)
+            amount = int(amount)
+    except ValueError as exc:
+        raise ValueError(f"bad set spec {text!r}: {exc}") from None
+    if text.startswith("shift:+"):
+        return shifted(amount, parse_set_spec(rest))
     raise ValueError(f"unknown set spec {text!r}")
 
 

@@ -10,8 +10,7 @@ from fmlab.arithx import (check_extension_hypothesis, choose_seed,
                           default_rounds, extension_trace, mu_relation,
                           mu_relation_oracle, mu_step, nu_from_set,
                           seed_multiplication, synthesize_multiplication)
-from fmlab.model import (PartialArithModel, full_multiplication,
-                         partial_arith, zero_rows)
+from fmlab.model import PartialArithModel, full_multiplication, zero_rows
 
 
 def random_pm(rng, n, p=0.5, with_zero=True):
@@ -69,6 +68,73 @@ def reference_half_round(n: int, mult: frozenset) -> set:
 def reference_mu_relation(pm: PartialArithModel) -> frozenset:
     half = reference_half_round(pm.n, pm.mult)
     return frozenset(half | {(y, x, z) for x, y, z in half})
+
+
+def reference_rectangle(n: int, a_max: int, b_max: int) -> PartialArithModel:
+    """The start relations on triple sets: zero rows plus every product of
+    [1..a_max] x [1..b_max] below n, closed under commutativity."""
+    triples = set(zero_rows(n))
+    for a in range(1, a_max + 1):
+        for b in range(1, b_max + 1):
+            if a * b >= n:
+                break
+            triples.add((a, b, a * b))
+    triples |= {(b, a, c) for a, b, c in triples}
+    return PartialArithModel(n, triples)
+
+
+def reference_seed(n, a_star, height=None):
+    if not 1 <= a_star < n:
+        raise ValueError("a_star out of range")
+    if height is None:
+        height = -(-n // (3 * a_star))
+    if a_star * height >= n:
+        raise ValueError("rectangle does not fit below n")
+    return reference_rectangle(n, a_star, height)
+
+
+def reference_nu(s, n, t, word="1"):
+    """nu_from_set with its width counted position by position."""
+    if t < 1:
+        raise ValueError("t must be positive")
+    occ = sets.occurrence_set(s, word, n)
+    width = 0
+    for m in occ.elements_below(max(n - len(word) - t + 1, 0)):
+        nxt = occ.next_above(m)
+        if (nxt is None or nxt - m >= t) and m + t < n:
+            width += 1
+    return reference_rectangle(n, t, width)
+
+
+def outcome(build, *args):
+    """The known matrix a start-relation builder returns, or its error."""
+    try:
+        return build(*args).known.tobytes()
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+@given(st.integers(0, 160), st.integers(-1, 40),
+       st.one_of(st.none(), st.integers(-2, 60)))
+@settings(max_examples=300, deadline=None)
+def test_seed_matches_reference_rectangle(n, a_star, height):
+    assert (outcome(seed_multiplication, n, a_star, height)
+            == outcome(reference_seed, n, a_star, height))
+
+
+NU_SPECS = ("sq", "pow2", "fact", "primes", "nat", "mult:3", "poly:0,1,1",
+            "floorpow:3/2", "compl:sq", "shift:+2:sq", "list:", "list:0,5,9")
+NU_WORDS = ("1", "0", "10", "01", "101", "", "2")
+
+
+@given(st.sampled_from(NU_SPECS), st.sampled_from(NU_WORDS),
+       st.integers(0, 200), st.data())
+@settings(max_examples=300, deadline=None)
+def test_nu_from_set_matches_reference_rectangle(spec, word, n, data):
+    t = data.draw(st.integers(-1, n + 3), label="t")
+    s = sets.parse_set_spec(spec)
+    assert (outcome(nu_from_set, s, n, t, word)
+            == outcome(reference_nu, s, n, t, word))
 
 
 @pytest.mark.parametrize("n", [216, 512, 1000])

@@ -309,6 +309,18 @@ def test_model_line_with_too_few_fields_is_usage_error(tmp_path, capsys,
     assert repr(line) in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("spec, shown", [
+    ("floorpow:3", "floorpow:3"), ("shift:+2", "shift:+2"),
+    ("mult:abc", "mult:abc"), ("poly:1,,2", "poly:1,,2"),
+    ("list:1,a", "list:1,a"), ("shift:+x:sq", "shift:+x:sq"),
+    ("compl:shift:+2:mult:x", "mult:x"),
+])
+def test_malformed_set_spec_is_named(spec, shown, capsys):
+    assert main(["analyze-set", "--set", spec, "--n", "10"]) == 2
+    err = capsys.readouterr().err
+    assert f"error: bad set spec {shown!r}: " in err
+
+
 def test_out_of_memory_is_usage_error(capsys):
     # the membership table for n = 10^18 is larger than any address space
     assert main(["analyze-set", "--set", "pow2",

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from fmlab import model as M
 from fmlab.model import (PADDING_SEARCH_CAP, BrModel, PartialArithModel,
                          br_isomorphic, builtin_registry, full_multiplication,
-                         is_padding, partial_arith, parse_model, format_model,
+                         is_padding, parse_model, format_model,
                          powerset_structure, relativize, word_model,
                          zero_rows)
 
@@ -150,16 +150,11 @@ def test_powerset_structure():
 
 
 def test_partial_arith_validation():
-    assert partial_arith(10, {(2, 3, 6)}).mult == {(2, 3, 6)}
+    assert PartialArithModel(10, {(2, 3, 6)}).mult == {(2, 3, 6)}
     with pytest.raises(ValueError):
-        partial_arith(10, {(2, 3, 7)})
-    full = partial_arith(10, full_multiplication(10))
+        PartialArithModel(10, {(2, 3, 7)})
+    full = PartialArithModel(10, full_multiplication(10))
     assert full.is_full()
-
-
-def test_partial_arith_closes_commutatively():
-    pm = partial_arith(10, {(2, 3, 6), (0, 4, 0)}, close_commutative=True)
-    assert pm.mult == {(2, 3, 6), (3, 2, 6), (0, 4, 0), (4, 0, 0)}
 
 
 @pytest.mark.parametrize("bad, shown", [
@@ -251,3 +246,30 @@ def test_model_file_errors():
         parse_model("model\nn 3\nrel R 2 : (0 1\nend\n")
     with pytest.raises(ValueError):
         parse_model("model\nrel U 1 : 0\nend\n")
+
+
+@pytest.mark.parametrize("line", [
+    "n abc", "f 1 a", "rel U x : 0", "rel R 2 : (1 x)", "rel R 2 : (0 1",
+    "rel R 2 : 0 (0 1)", "rel R 2 (0 1)", "rel R 2 : ((0 1))", "foo 1",
+])
+def test_model_file_error_names_the_line(line):
+    with pytest.raises(ValueError, match=re.escape(f"model line {line!r}")):
+        parse_model(f"model\nn 3\n{line}\nend\n")
+
+
+@pytest.mark.parametrize("body, repeat", [
+    ("n 3\nrel R 1 : 0", "rel R 2 : (0 1)"),
+    ("n 3\nrel R 2 : (0 1)", "rel R 2 : (1 2)"),
+    ("n 3", "n 4"),
+    ("n 3\nf 0 1 2", "f 2 1 0"),
+])
+def test_model_file_refuses_a_repeated_line(body, repeat):
+    with pytest.raises(ValueError, match=re.escape(f"model line {repeat!r}")):
+        parse_model(f"model\n{body}\n{repeat}\nend\n")
+
+
+def test_negative_arity_is_refused():
+    with pytest.raises(ValueError, match="relation R has negative arity"):
+        BrModel(3, {"R": -1}, {})
+    with pytest.raises(ValueError, match="relation R has negative arity"):
+        parse_model("model\nn 3\nrel R -1 :\nend\n")

@@ -238,3 +238,21 @@ def test_registry_shapes():
     shapes = Q.registry_shapes(regs)
     assert shapes["I"] == [1, 1] and shapes["Maj2"] == [2]
     assert shapes["C_Sq"] == [1] and shapes["PowSq"] == [2]
+
+
+def test_sentence_quantifier_decides_top_down(monkeypatch):
+    # one engine: no knob picks another, and every decision is `evaluate`
+    from fmlab import evaluator, syntax
+    with pytest.raises(TypeError):
+        Q.quantifier_from_sentence("q", [("U", 1)],
+                                   syntax.parse("E x. U(x)", {"U": 1}),
+                                   engine="fast")
+    calls = []
+    real = evaluator.evaluate
+    monkeypatch.setattr(evaluator, "evaluate",
+                        lambda *a, **k: calls.append(a) or real(*a, **k))
+    q = Q.quantifier_from_sentence("q", [("U", 1)],
+                                   syntax.parse("E x. U(x)", {"U": 1}))
+    assert q.decide(3, [{(1,)}], [0, 1, 2])
+    assert not q.decide(3, [set()], [0, 1, 2])
+    assert len(calls) == 2
