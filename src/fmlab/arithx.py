@@ -153,6 +153,8 @@ def seed_multiplication(n: int, a_star: int, height: Optional[int] = None
         raise ValueError("a_star out of range")
     if height is None:
         height = -(-n // (3 * a_star))
+    if height < 0:
+        raise ValueError(f"height must be nonnegative, got {height}")
     if a_star * height >= n:
         raise ValueError("rectangle does not fit below n")
     return _rectangle(n, a_star, height)

@@ -8,16 +8,18 @@ bounds like t >= n^(p/q) are decided by comparing t^q with n^p.
 from __future__ import annotations
 
 import itertools
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
+from math import factorial, isqrt
 from typing import Callable, Iterator, Optional
 
 import numpy as np
 
 VALUE_HORIZON = 2 ** 62
 STEP_HORIZON = 10 ** 7
+_CHUNK = 1 << 15  # naturals a scanned set reads at once
+_CELLS = 1 << 13  # cells f_omega's walks read at once
 
 INFINITY = float("inf")
 
@@ -53,120 +55,142 @@ def ceil_power(x: int, p: int, q: int) -> int:
 
 
 def _prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 2
-    return True
+    return n > 1 and all(n % d for d in range(2, isqrt(n) + 1))
+
+
+def _prime_window(lo: int, hi: int) -> np.ndarray:
+    """Primality of lo, ..., hi - 1 as a bool array: a segmented sieve (Bays
+    & Hudson 1977) crossing off the multiples of the primes up to sqrt(hi)."""
+    chi = np.ones(hi - lo, dtype=bool)
+    chi[:max(0, 2 - lo)] = False
+    root = isqrt(hi - 1)
+    if root >= 2:
+        for p in np.flatnonzero(_prime_window(0, root + 1)).tolist():
+            chi[max(p * p, -(-lo // p) * p) - lo::p] = False
+    return chi
 
 
 class NumericalSet:
     """A subset of the naturals given by a generator descriptor.
 
-    `contains` is an exact decision procedure; `iter_elements` yields the
-    elements in increasing order (possibly forever).  `elements_below` and
-    `next_above` share one enumeration: the set keeps the increasing prefix
-    pulled so far and the live generator behind it, so no element is
-    generated twice.
+    `contains` is an exact decision procedure.  The members come in order
+    from `iterate`, a generator, or for a scanned set (no `iterate`) from
+    `window(lo, hi)`, the characteristic vector on [lo, hi), _CHUNK naturals
+    at a time.  `elements_below` and `next_above` share one enumeration: the
+    set keeps the prefix pulled so far as int64, so none is pulled twice.
     """
     # the naturals not in this set, when known without a scan; set by
     # complement() and carried through shifted()
     complement_of: Optional["NumericalSet"] = None
+    _origin = 0  # a scanned set has no member below; runs count from here
 
     def __init__(self, spec: str, contains: Callable[[int], bool],
-                 iterate: Callable[[], Iterator[int]], finite: bool = False):
-        self.spec = spec
-        self._contains = contains
-        self._iterate = iterate
-        self.finite = finite
-        self._prefix: list[int] = []
-        self._rest: Optional[Iterator[int]] = iterate()  # None once exhausted
-        self._stuck: Optional[HorizonExceeded] = None  # how the generator died
+                 iterate: Optional[Callable[[], Iterator[int]]] = None,
+                 finite: bool = False, window: Optional[Callable] = None):
+        self.spec, self.finite = spec, finite
+        self._contains, self._iterate, self._window = contains, iterate, window
+        self._prefix = np.empty(0, dtype=np.int64)
+        self._rest = iterate and iterate()  # the generator; None once ended
+        self._scanned = 0  # a scanned set has read its window on [0, _scanned)
+        self._stuck: Optional[HorizonExceeded] = None  # raised on asking more
 
     def __repr__(self) -> str:
         return f"NumericalSet({self.spec!r})"
 
     def contains(self, k: int) -> bool:
-        if k < 0:
-            return False
-        return self._contains(k)
+        return k >= 0 and self._contains(k)
 
     __contains__ = contains
 
-    def iter_elements(self) -> Iterator[int]:
-        return self._iterate()
+    def window(self, lo: int, hi: int) -> np.ndarray:
+        """Characteristic vector of the set on [lo, hi) as a bool array; read
+        off the prefix uncapped, as the scan that asks bounds how far."""
+        if self._window is not None:
+            return self._window(lo, hi)
+        return _chi(self, hi, lo, capped=False)
 
-    def _cover(self, v: int) -> list[int]:
+    def _cover(self, v: int, capped: bool = True) -> np.ndarray:
         """The enumerated prefix, pulled until it holds an element > v or the
-        generator ends.  At most STEP_HORIZON + 1 elements are ever pulled."""
-        prefix = self._prefix
-        while self._rest is not None and (not prefix or prefix[-1] <= v):
-            if self._stuck is not None:
-                raise self._stuck
-            if len(prefix) > STEP_HORIZON:
-                raise HorizonExceeded(
-                    f"more than {STEP_HORIZON} elements of {self.spec} up to {v}")
-            try:
-                prefix.append(next(self._rest))
-            except StopIteration:
-                self._rest = None
-            except HorizonExceeded as exc:
-                self._stuck = exc  # a generator that raised has ended
-                raise
-        return prefix
+        enumeration ends; when capped, to at most STEP_HORIZON + 1 elements."""
+        if self._prefix.size and self._prefix[-1] > v:
+            return self._prefix
+        parts, size = [self._prefix], self._prefix.size
+        last = int(self._prefix[-1]) if size else self._origin - 1
+        try:
+            while not size or last <= v:
+                if self._stuck is not None:
+                    raise self._stuck
+                if capped and size > STEP_HORIZON:
+                    raise HorizonExceeded(
+                        f"more than {STEP_HORIZON} elements of {self.spec} up to {v}")
+                room = STEP_HORIZON + 1 - size if capped else VALUE_HORIZON
+                got = self._pull(v, room) if self._iterate else self._scan(last, room)
+                if got is None:
+                    break
+                parts.append(got)
+                size, last = size + got.size, int(got[-1]) if got.size else last
+        finally:
+            if len(parts) > 1:
+                self._prefix = np.concatenate(parts)
+        return self._prefix
+
+    def _pull(self, v: int, room: int) -> Optional[np.ndarray]:
+        """At most `room` more elements from the generator, up to the first
+        above v; None once it has ended.  An element beyond VALUE_HORIZON is
+        kept as VALUE_HORIZON + 1, and none after it is pulled."""
+        if self._rest is None:
+            return None
+        got = []
+        for x in self._rest:
+            if x > VALUE_HORIZON:
+                x, self._stuck = VALUE_HORIZON + 1, HorizonExceeded(
+                    f"elements of {self.spec} exceed the value horizon")
+            got.append(x)
+            if x > v or len(got) == room or self._stuck:
+                break
+        else:
+            self._rest = None
+        return np.array(got, dtype=np.int64)
+
+    def _scan(self, last: int, room: int) -> np.ndarray:
+        """At most `room` members among the next _CHUNK naturals of a scanned
+        set.  More than STEP_HORIZON non-members in a row after `last` or a
+        member end the scan there."""
+        lo = self._scanned
+        got = np.flatnonzero(self._window(lo, lo + _CHUNK)) + lo
+        hi = self._scanned = lo + _CHUNK
+        run = np.flatnonzero(np.diff(np.concatenate(([last], got, [hi])))
+                             > STEP_HORIZON + 1)
+        if run.size and run[0] < room:
+            got = got[:run[0]]
+            self._stuck = HorizonExceeded(
+                f"no member in {STEP_HORIZON} consecutive naturals after "
+                f"{got[-1] if got.size else last}")
+        return got[:room]
 
     def elements_below(self, bound: int) -> list[int]:
         prefix = self._cover(bound - 1)
-        return prefix[:bisect_left(prefix, bound)]
-
-    def char_word(self, bound: int) -> list[int]:
-        """Characteristic 0/1 word of the set on [0, bound)."""
-        word = [0] * bound
-        for m in self.elements_below(bound):
-            word[m] = 1
-        return word
+        return prefix[:np.searchsorted(prefix, bound)].tolist()
 
     def next_above(self, m: int):
         """Least element > m, or None when the set is finite and exhausted."""
         prefix = self._cover(m)
-        i = bisect_right(prefix, m)
-        if i < len(prefix):
+        i = np.searchsorted(prefix, m, side="right")
+        if i < prefix.size:
             if prefix[i] > VALUE_HORIZON:
                 raise HorizonExceeded(f"next element above {m} exceeds value horizon")
-            return prefix[i]
+            return int(prefix[i])
         if self.finite:
             return None
         raise HorizonExceeded(f"generator {self.spec} exhausted unexpectedly")
-
-
-def _scan_iterator(contains: Callable[[int], bool]) -> Callable[[], Iterator[int]]:
-    """Members in increasing order by testing every natural; a run of more
-    than STEP_HORIZON non-members raises HorizonExceeded (an empty set would
-    otherwise be scanned forever)."""
-    def it() -> Iterator[int]:
-        last = -1
-        for k in itertools.count():
-            if contains(k):
-                last = k
-                yield k
-            elif k - last > STEP_HORIZON:
-                raise HorizonExceeded(
-                    f"no member in {STEP_HORIZON} consecutive naturals after {last}")
-    return it
 
 
 def multiples(m: int) -> NumericalSet:
     if m < 1:
         raise ValueError("mult:m needs m >= 1")
     return NumericalSet(f"mult:{m}", lambda k: k % m == 0,
-                        lambda: (m * i for i in itertools.count()))
+                        lambda: (m * i for i in itertools.count()),
+                        window=lambda lo, hi: np.arange(lo, hi) % m == 0)
 
 
 def naturals() -> NumericalSet:
@@ -181,27 +205,14 @@ def squares() -> NumericalSet:
 def _range_of(spec: str, value: Callable[[int], int]) -> NumericalSet:
     """{value(x) : x in N} for a nondecreasing, unbounded value function."""
     def contains(k: int) -> bool:
-        # binary search an x with value(x) == k
-        lo, hi = 0, 1
+        # the least x with value(x) >= k is below the first such power of 2
+        hi = 1
         while value(hi) < k:
             hi *= 2
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if value(mid) < k:
-                lo = mid + 1
-            else:
-                hi = mid
-        return value(lo) == k
+        return value(bisect_left(range(hi), k, key=value)) == k
 
-    def iterate() -> Iterator[int]:
-        prev = None
-        for x in itertools.count():
-            v = value(x)
-            if v != prev:
-                yield v
-            prev = v
-
-    return NumericalSet(spec, contains, iterate)
+    return NumericalSet(spec, contains, lambda: (
+        v for v, _ in itertools.groupby(map(value, itertools.count()))))
 
 
 def poly_range(coeffs: list[int]) -> NumericalSet:
@@ -214,14 +225,7 @@ def poly_range(coeffs: list[int]) -> NumericalSet:
     if not any(cs[1:]):  # a constant: the one-element set {c0}
         return NumericalSet(spec, lambda k: k == cs[0], lambda: iter(cs[:1]),
                             finite=True)
-
-    def p(x: int) -> int:
-        acc = 0
-        for c in reversed(cs):
-            acc = acc * x + c
-        return acc
-
-    return _range_of(spec, p)
+    return _range_of(spec, lambda x: sum(c * x ** i for i, c in enumerate(cs)))
 
 
 def floor_power_range(p: int, q: int) -> NumericalSet:
@@ -237,28 +241,11 @@ def powers_of_two() -> NumericalSet:
 
 
 def factorials() -> NumericalSet:
-    def contains(k: int) -> bool:
-        if k < 1:
-            return False
-        f, i = 1, 1
-        while f < k:
-            i += 1
-            f *= i
-        return f == k
-
-    def iterate() -> Iterator[int]:
-        f, i = 1, 1
-        yield 1
-        while True:
-            i += 1
-            f *= i
-            yield f
-
-    return NumericalSet("fact", contains, iterate)
+    return _range_of("fact", factorial)
 
 
 def primes() -> NumericalSet:
-    return NumericalSet("primes", _prime, _scan_iterator(_prime))
+    return NumericalSet("primes", _prime, window=_prime_window)
 
 
 def explicit(values) -> NumericalSet:
@@ -273,18 +260,29 @@ def explicit(values) -> NumericalSet:
 def shifted(c: int, inner: NumericalSet) -> NumericalSet:
     if c < 0:
         raise ValueError("shift amount must be nonnegative")
+
+    def window(lo: int, hi: int) -> np.ndarray:
+        chi = np.zeros(hi - lo, dtype=bool)
+        if hi > c:
+            start = max(lo, c)
+            chi[start - lo:] = inner.window(start - c, hi - c)
+        return chi
+
+    base = inner._iterate  # a scanned inner makes a scanned shift
     out = NumericalSet(f"shift:+{c}:{inner.spec}",
                        lambda k: k >= c and inner.contains(k - c),
-                       lambda: (x + c for x in inner.iter_elements()),
-                       finite=inner.finite)
+                       None if base is None else lambda: (x + c for x in base()),
+                       inner.finite, window)
+    out._origin = out._scanned = inner._origin + c
     rest = inner.complement_of
-    if rest is not None:
-        # the naturals below c, then inner's complement shifted by c
+    if rest is not None and rest._iterate is not None:
+        # the naturals below c, then inner's complement shifted by c; a
+        # scanned complement is scanned just as well by complement()
         out.complement_of = NumericalSet(
             f"compl:{out.spec}", lambda k: k < c or rest.contains(k - c),
             lambda: itertools.chain(range(c),
-                                    (x + c for x in rest.iter_elements())),
-            finite=rest.finite)
+                                    (x + c for x in rest._iterate())),
+            rest.finite)
     return out
 
 
@@ -295,16 +293,19 @@ def complement(inner: NumericalSet) -> NumericalSet:
     known = inner.complement_of
     if known is not None:
         out = NumericalSet(f"compl:{inner.spec}", known.contains,
-                           known.iter_elements, known.finite)
+                           known._iterate, known.finite, known._window)
+        out._origin = out._scanned = known._origin
     else:
-        contains = lambda k: not inner.contains(k)
-        out = NumericalSet(f"compl:{inner.spec}", contains,
-                           _scan_iterator(contains))
+        out = NumericalSet(f"compl:{inner.spec}",
+                           lambda k: not inner.contains(k),
+                           window=lambda lo, hi: ~inner.window(lo, hi))
     out.complement_of = inner
     return out
 
 
 SPEC_DEPTH = 100
+_NAMED = {"sq": squares, "pow2": powers_of_two, "fact": factorials,
+          "primes": primes, "nat": naturals}
 
 
 def parse_set_spec(text: str) -> NumericalSet:
@@ -314,16 +315,8 @@ def parse_set_spec(text: str) -> NumericalSet:
     if text.count("compl:") + text.count("shift:+") > SPEC_DEPTH:
         raise ValueError(f"set spec nested deeper than {SPEC_DEPTH}")
     text = text.strip()
-    if text == "sq":
-        return squares()
-    if text == "pow2":
-        return powers_of_two()
-    if text == "fact":
-        return factorials()
-    if text == "primes":
-        return primes()
-    if text == "nat":
-        return naturals()
+    if text in _NAMED:
+        return _NAMED[text]()
     if text.startswith("compl:"):
         return complement(parse_set_spec(text[6:]))
     # a malformed field names the spec; the spec inside shift: names itself
@@ -341,6 +334,8 @@ def parse_set_spec(text: str) -> NumericalSet:
         if text.startswith("shift:+"):
             amount, rest = text[7:].split(":", 1)
             amount = int(amount)
+            if amount < 0:
+                raise ValueError("shift amount must be nonnegative")
     except ValueError as exc:
         raise ValueError(f"bad set spec {text!r}: {exc}") from None
     if text.startswith("shift:+"):
@@ -365,22 +360,19 @@ def _elements_and_gaps(s: NumericalSet, n: int) -> tuple[np.ndarray, np.ndarray]
     """Elements of s below n together with each element's gap to its
     successor, capped at n (only comparisons with t < n are ever made), as
     int64 arrays."""
-    elems = np.array(s.elements_below(n), dtype=np.int64)
-    if not elems.size:
-        return elems, elems
-    last = int(elems[-1])
-    try:
-        nxt = s.next_above(last)
-    except HorizonExceeded:
-        nxt = None
-    tail = n if nxt is None else min(nxt - last, n)
-    return elems, np.minimum(np.append(np.diff(elems), tail), n)
+    prefix = s._cover(n - 1)  # with the element after the last below n, if any
+    size = int(np.searchsorted(prefix, n))
+    gaps = np.diff(prefix[:size + 1])
+    return prefix[:size], np.minimum(np.append(gaps, [n] * (size - gaps.size)), n)
 
 
-def _chi(s: NumericalSet, bound: int) -> np.ndarray:
-    """Characteristic vector of s on [0, bound) as a bool array."""
-    chi = np.zeros(bound, dtype=bool)
-    chi[s.elements_below(bound)] = True
+def _chi(s: NumericalSet, hi: int, lo: int = 0, capped: bool = True
+         ) -> np.ndarray:
+    """Characteristic vector of s on [lo, hi) as a bool array, read off the
+    enumerated prefix."""
+    prefix = s._cover(hi - 1, capped)
+    chi = np.zeros(hi - lo, dtype=bool)
+    chi[prefix[np.searchsorted(prefix, lo):np.searchsorted(prefix, hi)] - lo] = True
     return chi
 
 
@@ -390,6 +382,39 @@ def gamma_s(s: NumericalSet, n: int, t: int) -> int:
         raise ValueError("need n, t >= 1")
     elems, gaps = _elements_and_gaps(s, n)
     return int(np.count_nonzero((gaps >= t) & (elems + t < n)))
+
+
+def _offsets(tset: np.ndarray, in_t: np.ndarray, n: int, omega: np.ndarray,
+             best: int) -> np.ndarray:
+    """A(omega) for a block of periods, exact where omega + A(omega) < best
+    (elsewhere at least best - omega).  tset is the sorted T between two
+    sentinels whose pairs leave [0, n].  The four walks of every omega run
+    side by side: each step reads the next `width` cells of every walk
+    still running, at most _CELLS cells in all, and the walks that end
+    nowhere in them go on with twice the width."""
+    k = omega.size
+    om = np.tile(omega, 4)
+    sign = np.repeat([1, 1, -1, -1], k)  # up or down the sorted T
+    step = om * np.repeat([1, -1, 1, -1], k)
+    centre = n - step  # twice the t of the centred pair (t, t + step)
+    pos = np.searchsorted(tset, (centre + 1) // 2) - (sign < 0)  # next cell
+    a = np.zeros(k, dtype=np.int64)
+    live, width = np.arange(4 * k), 1
+    while live.size:
+        width = min(width, _CELLS // live.size)
+        t = np.take(tset, pos[live, None] + sign[live, None] * np.arange(width),
+                    mode="clip")
+        value = (n - om[live, None] - np.abs(2 * t - centre[live, None])) // 2
+        going = value >= a[live % k, None]
+        stop = ~going | ~np.take(in_t, t + step[live, None], mode="clip")
+        rows, first = np.arange(live.size), stop.argmax(axis=1)
+        ended = stop[rows, first]
+        hit = ended & going[rows, first]  # ended at a violation
+        np.maximum.at(a, live[hit] % k, value[rows[hit], first[hit]] + 1)
+        pos[live] += sign[live] * width
+        live = live[~ended & (om[live] + a[live % k] < best)]
+        width *= 2
+    return a
 
 
 def f_omega(s: NumericalSet, n: int) -> tuple[int, int]:
@@ -411,38 +436,25 @@ def f_omega(s: NumericalSet, n: int) -> tuple[int, int]:
     A(omega) comes from four walks over the sorted T, outward from that t
     in both directions; each stops at its first violation, or as soon as
     its value can no longer beat the largest found for this omega (a
-    negative value means the pair leaves [0, n]).  No walk starts once
-    omega + A(omega) is known to reach the best l so far, and only
-    omega < f can improve f, so the scan stops there.
+    negative value means the pair leaves [0, n]).  The periods go in
+    blocks of doubling size; only omega < f can improve f, so the scan
+    stops at the first block that starts at or above the best l so far.
     """
     if n < 1:
         raise ValueError("need n >= 1")
     member = _chi(s, n + 1)
     if 2 * np.count_nonzero(member) > n + 1:
         member = ~member
-    tset = np.flatnonzero(member).tolist()
-    in_t = member.tobytes()
+    tset = np.concatenate(([-2 * n - 4], np.flatnonzero(member), [2 * n + 4]))
     best, best_omega = n + 2, None  # omega = 1 always gives less than n + 2
-    for omega in range(1, n + 2):
-        if omega >= best:
-            break
-        a = 0
-        for step in (omega, -omega):
-            centre = n - step  # twice the t of the centred pair (t, t + step)
-            mid = bisect_left(tset, (centre + 1) // 2)
-            for walk in (range(mid, len(tset)), range(mid - 1, -1, -1)):
-                if omega + a >= best:
-                    break  # A(omega) >= a already rules this omega out
-                for j in walk:
-                    t = tset[j]
-                    value = (n - omega - abs(2 * t - centre)) // 2
-                    if value < a:
-                        break
-                    if not in_t[t + step]:
-                        a = value + 1
-                        break
-        if omega + a < best:
-            best, best_omega = omega + a, omega
+    lo, size = 1, 1
+    while lo < best:
+        omega = np.arange(lo, min(lo + size, best))
+        l = omega + _offsets(tset, member, n, omega, best)
+        i = int(np.argmin(l))  # the least omega at the least l
+        if l[i] < best:
+            best, best_omega = int(l[i]), int(omega[i])
+        lo, size = lo + omega.size, min(2 * size, _CELLS // 4)
     return best, best_omega
 
 
@@ -452,23 +464,16 @@ def is_periodic_on(s: NumericalSet, n: int, l: int, omega: int) -> bool:
     if not 0 < omega <= l:
         return False
     a = l - omega
-    chi = s.char_word(n + 1)
-    for i in range(a, n - a - omega + 1):
-        if i < 0 or i + omega > n:
-            continue
-        if chi[i] != chi[i + omega]:
-            return False
-    return True
+    chi = _chi(s, n + 1)
+    i = np.arange(a, n - a - omega + 1)  # every pair (i, i + omega) in range
+    return not np.any(chi[i] != chi[i + omega])
 
 
 def nonperiodicity_criterion(s: NumericalSet, k: int, l: int,
                              ns: list[int]) -> dict[int, bool]:
     """For each n: whether k * f(n) * omega(n)**l >= n."""
-    out = {}
-    for n in ns:
-        f, omega = f_omega(s, n)
-        out[n] = k * f * omega ** l >= n
-    return out
+    return {n: k * f * omega ** l >= n
+            for n in ns for f, omega in [f_omega(s, n)]}
 
 
 def _occurrences(chi: np.ndarray, w: str, bound: int) -> np.ndarray:
@@ -493,7 +498,7 @@ def occurrence_set(s: NumericalSet, w: str, bound: int) -> NumericalSet:
 # looseness
 
 
-@dataclass
+@dataclass(slots=True)
 class LoosenessReport:
     n: int
     epsilon: Fraction
@@ -506,9 +511,7 @@ class LoosenessReport:
 
 def _t_range(n: int, epsilon: Fraction) -> tuple[int, int]:
     p, q = epsilon.numerator, epsilon.denominator
-    lo = max(1, ceil_power(n, p, q))
-    hi = floor_power(n, q - p, q)
-    return lo, hi
+    return max(1, ceil_power(n, p, q)), floor_power(n, q - p, q)
 
 
 def _loose_scan(elems: np.ndarray, gaps: np.ndarray, n: int,
@@ -557,11 +560,8 @@ def candidate_words(max_len: int) -> list[str]:
     words = ["1"]
     for s_len in range(1, max_len + 1):
         words.append("0" * s_len)
-        for i in range(s_len):
-            w = ["0"] * s_len
-            w[i] = "1"
-            if "".join(w) != "1":
-                words.append("".join(w))
+        if s_len > 1:  # the one word of length 1 with one 1 is "1"
+            words += ["0" * i + "1" + "0" * (s_len - 1 - i) for i in range(s_len)]
     return words
 
 

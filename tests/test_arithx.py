@@ -88,6 +88,8 @@ def reference_seed(n, a_star, height=None):
         raise ValueError("a_star out of range")
     if height is None:
         height = -(-n // (3 * a_star))
+    if height < 0:
+        raise ValueError(f"height must be nonnegative, got {height}")
     if a_star * height >= n:
         raise ValueError("rectangle does not fit below n")
     return reference_rectangle(n, a_star, height)
@@ -214,6 +216,10 @@ def test_seed_multiplication_shape():
         seed_multiplication(10, 12)
     with pytest.raises(ValueError):
         seed_multiplication(10, 5, height=3)
+    with pytest.raises(ValueError, match="height must be nonnegative, got -2"):
+        seed_multiplication(100, 5, height=-2)
+    # height 0 keeps its degenerate rectangle: the zero rows alone
+    assert seed_multiplication(100, 5, height=0).gamma(5) == 0
 
 
 def test_hypothesis_check():

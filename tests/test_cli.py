@@ -83,6 +83,13 @@ def test_set_horizon_is_usage_error(monkeypatch, capsys, spec, n):
     assert capsys.readouterr().err.startswith("error:")
 
 
+def test_empty_scan_stops_at_the_horizon(capsys):
+    # compl:nat has no member; the scan gives up after STEP_HORIZON naturals
+    assert main(["analyze-set", "--set", "compl:nat", "--n", "5"]) == 2
+    assert capsys.readouterr().err == (
+        "error: no member in 10000000 consecutive naturals after -1\n")
+
+
 def test_double_complement_is_the_inner_set(monkeypatch, capsys):
     # compl:compl:list:1,2 is {1, 2}; a scan for its members would meet
     # more than STEP_HORIZON non-members after 2
@@ -314,6 +321,7 @@ def test_model_line_with_too_few_fields_is_usage_error(tmp_path, capsys,
     ("mult:abc", "mult:abc"), ("poly:1,,2", "poly:1,,2"),
     ("list:1,a", "list:1,a"), ("shift:+x:sq", "shift:+x:sq"),
     ("compl:shift:+2:mult:x", "mult:x"),
+    ("shift:+-1:sq", "shift:+-1:sq"),
 ])
 def test_malformed_set_spec_is_named(spec, shown, capsys):
     assert main(["analyze-set", "--set", spec, "--n", "10"]) == 2

@@ -1,4 +1,5 @@
 import itertools
+from bisect import bisect_left
 from fractions import Fraction
 from math import isqrt
 
@@ -313,3 +314,66 @@ def test_floor_power_range():
         assert s.contains(v)
     assert not s.contains(3) and not s.contains(4)
     assert s.elements_below(12) == [0, 1, 2, 5, 8, 11]
+
+
+# (f, omega), then the loose_at and pseudoloose_at reports at eps = 1/10 as
+# (verdict, t, word, gamma), at n = 2*10^5 for the eight benchmark families;
+# pinned from the per-omega walk and the per-natural scans
+PINNED_2E5 = {
+    "sq": ((99858, 1), ("loose-at-n", 48, None, 424),
+           ("pseudoloose-at-n", 48, "1", 424)),
+    "fact": ((40322, 1), ("loose-at-n", 10000, None, 2),
+             ("pseudoloose-at-n", 10000, "1", 2)),
+    "pow2": ((68930, 1), ("loose-at-n", 3334, None, 6),
+             ("pseudoloose-at-n", 3334, "1", 6)),
+    "poly:0,1,1": ((99829, 632), ("loose-at-n", 48, None, 424),
+                   ("pseudoloose-at-n", 48, "1", 424)),
+    "compl:sq": ((99858, 1), ("neither", None, None, None),
+                 ("pseudoloose-at-n", 48, "0", 424)),
+    "shift:+3:sq": ((99861, 1), ("loose-at-n", 48, None, 424),
+                    ("pseudoloose-at-n", 48, "1", 424)),
+    "mult:6": ((6, 6), ("loose-at-n", 4, None, 33333),
+               ("pseudoloose-at-n", 4, "1", 33333)),
+    "primes": ((99999, 1), ("loose-at-n", 4, None, 15822),
+               ("pseudoloose-at-n", 4, "1", 15822)),
+}
+
+
+@pytest.mark.parametrize("spec", sorted(PINNED_2E5))
+def test_set_families_pinned_at_2e5(spec):
+    s, n, eps = parse_set_spec(spec), 200_000, Fraction(1, 10)
+    reports = (loose_at(s, n, eps), pseudoloose_at(s, n, eps))
+    assert (f_omega(s, n),) + tuple(
+        (r.verdict, r.witness_t, r.witness_word, r.gamma_value)
+        for r in reports) == PINNED_2E5[spec]
+    assert [r.note for r in reports] == ["", "policy-limited"]
+
+
+@pytest.mark.parametrize("spec", ["primes", "compl:sq", "compl:shift:+2:sq",
+                                  "shift:+5:primes"])
+def test_enumeration_across_chunk_edges(spec):
+    edges = [k * sets._CHUNK for k in (1, 2, 3)]
+    top = edges[-1] + 1000
+    member = parse_set_spec(spec).contains
+    listed = [k for k in range(top) if member(k)]
+    bounds = [e + d for e in edges for d in (-2, -1, 0, 1, 2)]
+    growing = parse_set_spec(spec)  # one set pulled further at each bound
+    for bound in bounds:
+        below = listed[:bisect_left(listed, bound)]
+        for s in (parse_set_spec(spec), growing):
+            assert s.elements_below(bound) == below
+            assert s.next_above(bound - 1) == listed[len(below)]
+    assert growing.elements_below(top) == listed
+
+
+def test_shifted_scan_counts_runs_from_the_shift(monkeypatch):
+    # the naturals below the shift are not a run of non-members
+    monkeypatch.setattr(sets, "STEP_HORIZON", 10)
+    ten = ",".join(map(str, range(10)))
+    assert parse_set_spec(f"shift:+3:compl:list:{ten}").elements_below(16) == [
+        13, 14, 15]
+    with pytest.raises(sets.HorizonExceeded):
+        parse_set_spec(f"shift:+3:compl:list:{ten},10").elements_below(16)
+    for spec in ("shift:+20000000:primes", "compl:compl:shift:+20000000:primes",
+                 "shift:+10000000:shift:+10000000:primes"):
+        assert parse_set_spec(spec).next_above(0) == 20000002
