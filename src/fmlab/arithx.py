@@ -163,6 +163,7 @@ def seed_multiplication(n: int, a_star: int, height: Optional[int] = None
 def choose_seed(n: int, k: int = 3):
     """A start relation and witness satisfying the width hypothesis, if
     one of the rectangle seeds does; returns (a_star, model)."""
+    default_rounds(k)  # refuses k < 2 before any seed is tried
     found = _width_witness(n, k, lambda a_star: seed_multiplication(n, a_star))
     if found is None:
         raise ValueError(f"no rectangle seed fits n={n}, k={k}")
@@ -201,6 +202,8 @@ def synthesize_multiplication(s: NumericalSet, n: int, eps: Fraction,
     """From a set loose at scale eps to full multiplication on n points:
     pick k with k * eps > 1, find a workable t, build the start relation
     and iterate the extension rounds."""
+    if n < 1:
+        raise ValueError("need n >= 1")
     if eps <= 0:
         raise ValueError("need eps > 0")
     if k is None:

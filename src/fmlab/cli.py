@@ -49,10 +49,16 @@ def _parse_assign(text: str) -> dict:
     if not text:
         return out
     for part in text.split(","):
-        if "=" not in part:
-            raise UsageError(f"bad assignment item {part!r}; want k=v")
-        k, v = part.split("=", 1)
-        out[k.strip()] = int(v)
+        k, eq, v = part.partition("=")
+        k = k.strip()
+        if not (eq and k) or k in out:
+            raise UsageError(f"bad assignment item {part!r}; want k=v, "
+                             "each k once")
+        try:
+            out[k] = int(v)
+        except ValueError:
+            raise UsageError(f"bad assignment item {part!r}; want an "
+                             "integer value") from None
     return out
 
 

@@ -11,7 +11,7 @@ import itertools
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial, isqrt
+from math import ceil, factorial, isqrt
 from typing import Callable, Iterator, Optional
 
 import numpy as np
@@ -20,6 +20,7 @@ VALUE_HORIZON = 2 ** 62
 STEP_HORIZON = 10 ** 7
 _CHUNK = 1 << 15  # naturals a scanned set reads at once
 _CELLS = 1 << 13  # cells f_omega's walks read at once
+_ROOT_DEGREE = 64  # the largest q of floorpow:p/q, in lowest terms
 
 INFINITY = float("inf")
 
@@ -46,12 +47,6 @@ def floor_nth_root(x: int, q: int) -> int:
 def floor_power(x: int, p: int, q: int) -> int:
     """floor(x^(p/q)) = largest m with m**q <= x**p."""
     return floor_nth_root(x ** p, q)
-
-
-def ceil_power(x: int, p: int, q: int) -> int:
-    """ceil(x^(p/q)) = least t with t**q >= x**p."""
-    f = floor_power(x, p, q)
-    return f if f ** q == x ** p else f + 1
 
 
 def _prime(n: int) -> bool:
@@ -186,8 +181,8 @@ class NumericalSet:
 
 
 def multiples(m: int) -> NumericalSet:
-    if m < 1:
-        raise ValueError("mult:m needs m >= 1")
+    if not 1 <= m <= VALUE_HORIZON:
+        raise ValueError(f"mult:m needs 1 <= m <= {VALUE_HORIZON}")
     return NumericalSet(f"mult:{m}", lambda k: k % m == 0,
                         lambda: (m * i for i in itertools.count()),
                         window=lambda lo, hi: np.arange(lo, hi) % m == 0)
@@ -203,8 +198,12 @@ def squares() -> NumericalSet:
 
 
 def _range_of(spec: str, value: Callable[[int], int]) -> NumericalSet:
-    """{value(x) : x in N} for a nondecreasing, unbounded value function."""
+    """{value(x) : x in N} for a nondecreasing, unbounded value function,
+    decided up to VALUE_HORIZON: where value(x) passes it, value may return
+    any number past it instead."""
     def contains(k: int) -> bool:
+        if k > VALUE_HORIZON:
+            raise HorizonExceeded(f"{k} is beyond the value horizon of {spec}")
         # the least x with value(x) >= k is below the first such power of 2
         hi = 1
         while value(hi) < k:
@@ -229,10 +228,17 @@ def poly_range(coeffs: list[int]) -> NumericalSet:
 
 
 def floor_power_range(p: int, q: int) -> NumericalSet:
-    """{floor(x^(p/q)) : x in N} for a rational exponent p/q > 1."""
+    """{floor(x^(p/q)) : x in N} for a rational exponent p/q > 1 with q at
+    most _ROOT_DEGREE in lowest terms."""
     if q < 1 or Fraction(p, q) <= 1:
         raise ValueError("floorpow needs exponent p/q > 1")
-    return _range_of(f"floorpow:{p}/{q}", lambda x: floor_power(x, p, q))
+    spec, (p, q) = f"floorpow:{p}/{q}", Fraction(p, q).as_integer_ratio()
+    if q > _ROOT_DEGREE:
+        raise ValueError(f"floorpow needs q <= {_ROOT_DEGREE} in lowest terms")
+    # x >= 2^(b-1) for b its bit length, so x^(p/q) >= 2^63 once (b-1)p >=
+    # 63q: that x is past the horizon, told without forming x^p
+    return _range_of(spec, lambda x: VALUE_HORIZON + 1 if (
+        x.bit_length() - 1) * p >= 63 * q else floor_power(x, p, q))
 
 
 def powers_of_two() -> NumericalSet:
@@ -258,8 +264,9 @@ def explicit(values) -> NumericalSet:
 
 
 def shifted(c: int, inner: NumericalSet) -> NumericalSet:
-    if c < 0:
-        raise ValueError("shift amount must be nonnegative")
+    room = VALUE_HORIZON - inner._origin  # keeps the origin within the horizon
+    if not 0 <= c <= room:
+        raise ValueError(f"shift amount must be in [0, {room}]")
 
     def window(lo: int, hi: int) -> np.ndarray:
         chi = np.zeros(hi - lo, dtype=bool)
@@ -319,8 +326,12 @@ def parse_set_spec(text: str) -> NumericalSet:
         return _NAMED[text]()
     if text.startswith("compl:"):
         return complement(parse_set_spec(text[6:]))
-    # a malformed field names the spec; the spec inside shift: names itself
+    amount, colon, rest = text[7:].partition(":")
+    # the spec inside shift: names itself; a malformed field names the spec
+    inner = parse_set_spec(rest) if text.startswith("shift:+") and colon else None
     try:
+        if inner is not None:
+            return shifted(int(amount), inner)
         if text.startswith("mult:"):
             return multiples(int(text[5:]))
         if text.startswith("poly:"):
@@ -332,14 +343,9 @@ def parse_set_spec(text: str) -> NumericalSet:
             body = text[5:]
             return explicit([int(v) for v in body.split(",")] if body else [])
         if text.startswith("shift:+"):
-            amount, rest = text[7:].split(":", 1)
-            amount = int(amount)
-            if amount < 0:
-                raise ValueError("shift amount must be nonnegative")
+            raise ValueError("want shift:+c:<spec>")
     except ValueError as exc:
         raise ValueError(f"bad set spec {text!r}: {exc}") from None
-    if text.startswith("shift:+"):
-        return shifted(amount, parse_set_spec(rest))
     raise ValueError(f"unknown set spec {text!r}")
 
 
@@ -356,16 +362,6 @@ def delta(s: NumericalSet, m: int):
     return INFINITY if nxt is None else nxt - m
 
 
-def _elements_and_gaps(s: NumericalSet, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Elements of s below n together with each element's gap to its
-    successor, capped at n (only comparisons with t < n are ever made), as
-    int64 arrays."""
-    prefix = s._cover(n - 1)  # with the element after the last below n, if any
-    size = int(np.searchsorted(prefix, n))
-    gaps = np.diff(prefix[:size + 1])
-    return prefix[:size], np.minimum(np.append(gaps, [n] * (size - gaps.size)), n)
-
-
 def _chi(s: NumericalSet, hi: int, lo: int = 0, capped: bool = True
          ) -> np.ndarray:
     """Characteristic vector of s on [lo, hi) as a bool array, read off the
@@ -376,12 +372,19 @@ def _chi(s: NumericalSet, hi: int, lo: int = 0, capped: bool = True
     return chi
 
 
+def _caps(elems: np.ndarray, n: int) -> np.ndarray:
+    """The cap min(gap to the next member, n - 1 - m) of each m < n in the
+    sorted int64 elems: m counts in gamma(n, t) for the t up to its cap.  A
+    gap passes n - 1 - m only for the last m, so what follows is not read."""
+    elems = elems[:np.searchsorted(elems, n)]
+    return np.minimum(np.diff(elems, append=n), n - 1 - elems)
+
+
 def gamma_s(s: NumericalSet, n: int, t: int) -> int:
     """|{m in s : gap to next element >= t and m + t < n}|."""
     if n < 1 or t < 1:
         raise ValueError("need n, t >= 1")
-    elems, gaps = _elements_and_gaps(s, n)
-    return int(np.count_nonzero((gaps >= t) & (elems + t < n)))
+    return int(np.count_nonzero(_caps(s._cover(n - 1), n) >= t))
 
 
 def _offsets(tset: np.ndarray, in_t: np.ndarray, n: int, omega: np.ndarray,
@@ -510,15 +513,17 @@ class LoosenessReport:
 
 
 def _t_range(n: int, epsilon: Fraction) -> tuple[int, int]:
+    """[ceil(n^eps), floor(n^(1-eps))], with t >= 1."""
     p, q = epsilon.numerator, epsilon.denominator
-    return max(1, ceil_power(n, p, q)), floor_power(n, q - p, q)
+    lo = floor_power(n, p, q)
+    return max(1, lo + (lo ** q < n ** p)), floor_power(n, q - p, q)
 
 
-def _loose_scan(elems: np.ndarray, gaps: np.ndarray, n: int,
-                epsilon: Fraction):
+def _loose_scan(caps: np.ndarray, n: int, epsilon: Fraction):
     """First t in [ceil(n^eps), floor(n^(1-eps))] with t*gamma(n,t) >= eps*n,
-    together with the gamma value; None if there is none.  elems and gaps
-    are as _elements_and_gaps returns them.
+    together with the gamma value; None if there is none.  caps are as
+    _caps returns them; a cap below the t-range counts for no t in it, so
+    only the others are sorted.
 
     gamma(n,t) = #{m : cap_m >= t} with cap_m = min(gap_m, n-1-m), so with
     the caps sorted downward, c_1 >= ... >= c_N and c_{N+1} = 0, gamma is k
@@ -527,11 +532,10 @@ def _loose_scan(elems: np.ndarray, gaps: np.ndarray, n: int,
     ceil(p*n/q), when that is at most min(c_k, hi); a larger k is an
     earlier run.  All values are at most n, so int64 is exact."""
     lo, hi = _t_range(n, epsilon)
-    if lo > hi or not elems.size:
+    caps = np.sort(caps[caps >= lo])[::-1]
+    if lo > hi or not caps.size:
         return None
-    p, q = epsilon.numerator, epsilon.denominator
-    need = -(-p * n // q)
-    caps = np.sort(np.minimum(gaps, n - 1 - elems))[::-1]
+    need = ceil(epsilon * n)
     k = np.arange(1, caps.size + 1)
     t = np.maximum(np.append(caps[1:], 0) + 1, np.maximum(lo, -(-need // k)))
     ok = np.flatnonzero(t <= np.minimum(caps, hi))
@@ -546,12 +550,11 @@ def loose_at(s: NumericalSet, n: int, epsilon: Fraction) -> LoosenessReport:
     lo, hi = _t_range(n, epsilon)
     if lo > hi:
         return LoosenessReport(n, epsilon, "neither", note="empty t-range")
-    hit = _loose_scan(*_elements_and_gaps(s, n), n, epsilon)
+    hit = _loose_scan(_caps(s._cover(n - 1), n), n, epsilon)
     if hit is None:
         return LoosenessReport(n, epsilon, "neither")
-    t, gamma = hit
-    return LoosenessReport(n, epsilon, "loose-at-n", witness_t=t,
-                           gamma_value=gamma)
+    return LoosenessReport(n, epsilon, "loose-at-n", witness_t=hit[0],
+                           gamma_value=hit[1])
 
 
 def candidate_words(max_len: int) -> list[str]:
@@ -572,19 +575,16 @@ def pseudoloose_at(s: NumericalSet, n: int, epsilon: Fraction,
     report is flagged policy-limited."""
     if not 0 < epsilon < 1:
         raise ValueError("need 0 < epsilon < 1")
-    p, q = epsilon.numerator, epsilon.denominator
     chi = _chi(s, n + max(1, max_word_len))
+    hi = _t_range(n, epsilon)[1]
     for w in candidate_words(max_word_len):
-        if len(w) ** q > n ** (q - p):  # require |w| <= n^(1-eps)
+        if len(w) > hi:  # require |w| <= n^(1-eps)
             continue
-        hits = _occurrences(chi, w, n)
-        # as for the finite occurrence set, the last hit's gap is n
-        hit = _loose_scan(hits, np.append(np.diff(hits), n), n, epsilon)
+        hit = _loose_scan(_caps(_occurrences(chi, w, n), n), n, epsilon)
         if hit is not None:
-            t, gamma = hit
             return LoosenessReport(n, epsilon, "pseudoloose-at-n",
-                                   witness_t=t, witness_word=w,
-                                   gamma_value=gamma, note="policy-limited")
+                                   witness_t=hit[0], witness_word=w,
+                                   gamma_value=hit[1], note="policy-limited")
     return LoosenessReport(n, epsilon, "neither", note="policy-limited")
 
 
@@ -592,12 +592,11 @@ def recheck_report(s: NumericalSet, report: LoosenessReport) -> bool:
     """Re-validate a loose/pseudoloose verdict from its stored witnesses."""
     if report.verdict == "neither":
         return True
-    n, eps = report.n, report.epsilon
-    p, q = eps.numerator, eps.denominator
-    t, w = report.witness_t, report.witness_word
+    n, eps, t = report.n, report.epsilon, report.witness_t
     lo, hi = _t_range(n, eps)
     if not lo <= t <= hi:
         return False
-    base = s if report.verdict == "loose-at-n" else occurrence_set(s, w, n)
+    base = (s if report.verdict == "loose-at-n"
+            else occurrence_set(s, report.witness_word, n))
     gamma = gamma_s(base, n, t)
-    return gamma == report.gamma_value and q * t * gamma >= p * n
+    return gamma == report.gamma_value and t * gamma >= eps * n

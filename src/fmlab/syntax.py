@@ -3,8 +3,9 @@
 Conventions: first-order variables start with a lowercase letter, set
 variables with an uppercase letter; a leading-uppercase name applied to
 arguments is a vocabulary relation if it is declared, otherwise a set
-variable.  Built-in atoms are written @le(x,y), @plus(x,y,z), @set:Sq(x),
-with x<y / x<=y / x+y=z as sugar.
+variable.  Built-in atoms are written @le(x,y), @plus(x,y,z), @set:sq(x),
+with x<y / x<=y / x+y=z as sugar.  After @set: comes one name: a named
+set (sq, pow2, fact, primes, nat) or one registered with --config.
 """
 
 from __future__ import annotations

@@ -316,17 +316,61 @@ def test_model_line_with_too_few_fields_is_usage_error(tmp_path, capsys,
     assert repr(line) in err and "Traceback" not in err
 
 
+BIG = "99999999999999999999"
+H = str(sets.VALUE_HORIZON)
+
+
 @pytest.mark.parametrize("spec, shown", [
     ("floorpow:3", "floorpow:3"), ("shift:+2", "shift:+2"),
     ("mult:abc", "mult:abc"), ("poly:1,,2", "poly:1,,2"),
     ("list:1,a", "list:1,a"), ("shift:+x:sq", "shift:+x:sq"),
     ("compl:shift:+2:mult:x", "mult:x"),
     ("shift:+-1:sq", "shift:+-1:sq"),
+    ("floorpow:129/128", "floorpow:129/128"),
+    # one rule for generator and scanned sets: a modulus past the value
+    # horizon, or shifts that carry a set's origin past it, are refused
+    (f"compl:mult:{BIG}", f"mult:{BIG}"),
+    (f"compl:mult:{2 ** 63}", f"mult:{2 ** 63}"),
+    (f"mult:{BIG}", f"mult:{BIG}"),
+    (f"shift:+{BIG}:primes", f"shift:+{BIG}:primes"),
+    (f"shift:+{2 ** 63 - 1}:primes", f"shift:+{2 ** 63 - 1}:primes"),
+    (f"shift:+{BIG}:sq", f"shift:+{BIG}:sq"),
+    (f"shift:+{H}:shift:+1:primes", f"shift:+{H}:shift:+1:primes"),
+    (f"shift:+{H}:shift:+1:sq", f"shift:+{H}:shift:+1:sq"),
 ])
 def test_malformed_set_spec_is_named(spec, shown, capsys):
     assert main(["analyze-set", "--set", spec, "--n", "10"]) == 2
     err = capsys.readouterr().err
     assert f"error: bad set spec {shown!r}: " in err
+
+
+@pytest.mark.parametrize("spec, want", [
+    (f"compl:mult:{H}", "f=2 omega=1\n"),
+    (f"shift:+{H}:primes", "f=1 omega=1\n"),
+])
+def test_set_spec_numbers_at_the_horizon_answer(spec, want, capsys):
+    assert main(["analyze-set", "--set", spec, "--n", "5"]) == 0
+    assert capsys.readouterr().out == want
+
+
+def test_floorpow_with_a_large_exponent_is_bounded(capsys):
+    # 2^(p/q) is past the value horizon, told from bit lengths before 2^p is
+    # formed; the child's time and address space are capped all the same
+    resource = pytest.importorskip("resource")
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (1_500_000_000,) * 2)
+
+    args = ["--n", "5", "--eps", "1/3"]
+    assert main(["analyze-set", "--set", "list:0,1", *args]) == 0
+    want = capsys.readouterr().out
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    for spec in ("floorpow:200000000/2", f"floorpow:{BIG}/2"):
+        done = subprocess.run(
+            [sys.executable, "-m", "fmlab.cli", "analyze-set", "--set", spec,
+             *args], env=env, capture_output=True, text=True, timeout=60,
+            preexec_fn=cap)
+        assert (done.returncode, done.stdout) == (0, want), done.stderr
 
 
 def test_out_of_memory_is_usage_error(capsys):
@@ -376,6 +420,13 @@ def test_missing_model_file(capsys):
     ["pipeline", "--set", "sq", "--n", "100", "--eps", "1/0"],
     ["pipeline", "--set", "sq", "--n", "100", "--eps", "0"],
     ["ef", "--model", "M", "--model", "M", "--rank", "-1"],
+    ["mulext", "--n", "64", "--k", "0"],
+    ["mulext", "--n", "64", "--k", "1"],
+    ["pipeline", "--set", "sq", "--n", "0", "--eps", "1/3"],
+    ["pipeline", "--set", "sq", "--n", "-5", "--eps", "1/3"],
+    ["eval", "--model", "M", "--formula", "x = x", "--assign", "x=abc"],
+    ["eval", "--model", "M", "--formula", "x = x", "--assign", "x=1,x=2"],
+    ["eval", "--model", "M", "--formula", "x = x", "--assign", "x=0,=1"],
 ])
 def test_bad_input_is_a_usage_error_before_any_work(tmp_path, capsys, argv):
     # refused where it enters: nothing on stdout, no verdict, no traceback
@@ -384,3 +435,18 @@ def test_bad_input_is_a_usage_error_before_any_work(tmp_path, capsys, argv):
     assert main([str(p) if a == "M" else a for a in argv]) == 2
     out, err = capsys.readouterr()
     assert out == "" and "error:" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv, said", [
+    (["mulext", "--n", "64", "--k", "0"], "k must be at least 2"),
+    (["mulext", "--n", "64", "--k", "1"], "k must be at least 2"),
+    (["pipeline", "--set", "sq", "--n", "0", "--eps", "1/3"], "need n >= 1"),
+    (["eval", "--assign", "x=abc"], "'x=abc'"),
+    (["eval", "--assign", "x=1,x=2"], "'x=2'"),
+    (["eval", "--assign", "x=0,=1"], "'=1'"),
+])
+def test_entry_checks_say_what_they_refuse(plain_model, capsys, argv, said):
+    if argv[0] == "eval":
+        argv = [*argv, "--model", plain_model, "--formula", "x = x"]
+    assert main(argv) == 2
+    assert said in capsys.readouterr().err

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 from bisect import bisect_left
 from fractions import Fraction
 from math import isqrt
@@ -314,6 +315,16 @@ def test_floor_power_range():
         assert s.contains(v)
     assert not s.contains(3) and not s.contains(4)
     assert s.elements_below(12) == [0, 1, 2, 5, 8, 11]
+    assert parse_set_spec("floorpow:6/4").elements_below(12) == [0, 1, 2, 5, 8, 11]
+
+
+def test_range_sets_are_decided_up_to_the_value_horizon():
+    # past the horizon a value may stand for any larger one, so membership
+    # there is not decided
+    s = parse_set_spec("floorpow:3/2")
+    assert s.contains(sets.floor_power(2 ** 41, 3, 2))
+    with pytest.raises(sets.HorizonExceeded):
+        s.contains(sets.VALUE_HORIZON + 1)
 
 
 # (f, omega), then the loose_at and pseudoloose_at reports at eps = 1/10 as
@@ -337,6 +348,21 @@ PINNED_2E5 = {
     "primes": ((99999, 1), ("loose-at-n", 4, None, 15822),
                ("pseudoloose-at-n", 4, "1", 15822)),
 }
+
+
+def test_loose_at_peak_memory_at_1e6():
+    # one int64 cap array, and only the caps in the t-range sorted: about
+    # 24 MB for compl:sq, whose caps are nearly all 1, below lo = 4
+    s, n = parse_set_spec("compl:sq"), 10 ** 6
+    s.elements_below(n + 1)  # the enumerated prefix is not counted
+    tracemalloc.start()
+    try:
+        r = loose_at(s, n, Fraction(1, 10))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert r.verdict == "neither"
+    assert peak <= 30 * 10 ** 6
 
 
 @pytest.mark.parametrize("spec", sorted(PINNED_2E5))
