@@ -18,6 +18,9 @@ admission check, `_Engine.admit`, before it evaluates, and the clauses
 trust what it admitted.  A built-in's `holds` is its only definition:
 the top-down engine calls it on f-values, the table engine reads a unary
 one value by value and broadcasts a wider one over grids of f-values.
+A quantifier application is one `decide` call in either engine: on one
+structure top-down, and on the batch of all assignments to the
+application's free variables in the table engine.
 
 Plus `ef_equivalent`, the r-round back-and-forth game.
 """
@@ -72,6 +75,7 @@ class _Engine:
                          else modelmod.default_builtins())
         self.quantifiers = (quantifiers if quantifiers is not None
                             else default_quantifiers())
+        self.fvals = np.asarray(m.f, dtype=np.int64)
         self.memo: dict = {}
 
     def admit(self, phi: Formula, set_assignment, assignment=None) -> dict:
@@ -163,14 +167,13 @@ class _TopDown(_Engine):
                        if self.run(kids[0], {**a, phi.var: e}, sa))
             return hits == m.f[a[phi.target]]
         if isinstance(phi, QApp):
-            q = self.quantifiers[phi.qname]
-            rels = []
-            for (vs, _), k in zip(phi.slots, kids):
-                rel = frozenset(
-                    t for t in itertools.product(range(m.n), repeat=len(vs))
-                    if self.run(k, {**a, **dict(zip(vs, t))}, sa))
-                rels.append(rel)
-            return bool(q.decide(m.n, rels, m.f))
+            slots = [np.array(
+                [self.run(k, {**a, **dict(zip(vs, t))}, sa)
+                 for t in itertools.product(range(m.n), repeat=len(vs))],
+                dtype=bool).reshape((m.n,) * len(vs))
+                for (vs, _), k in zip(phi.slots, kids)]
+            return bool(self.quantifiers[phi.qname].decide(m.n, slots,
+                                                           self.fvals))
         if isinstance(phi, (SetExists, SetForall)):
             runs = (self.run(kids[0], a, {**sa, phi.setvar: s})
                     for s in _subsets(m.n))
@@ -218,8 +221,7 @@ def _align(table: tuple, target: tuple) -> np.ndarray:
     length-1 axis, which broadcasts, for each variable the table lacks."""
     vs, arr = table
     arr = np.transpose(arr, [vs.index(v) for v in target if v in vs])
-    return np.expand_dims(arr, tuple(i for i, v in enumerate(target)
-                                     if v not in vs))
+    return arr[tuple(slice(None) if v in vs else None for v in target)]
 
 
 class TruthTables(_Engine):
@@ -234,7 +236,6 @@ class TruthTables(_Engine):
     def __init__(self, m: BrModel, builtins=None, quantifiers=None):
         super().__init__(m, builtins, quantifiers)
         self.n = m.n
-        self.fvals = np.asarray(m.f, dtype=np.int64)
 
     def table(self, phi: Formula, set_assignment=None) -> tuple:
         return self._table(phi, self.admit(phi, set_assignment))
@@ -312,39 +313,20 @@ class TruthTables(_Engine):
             f = self.fvals.reshape([n if v == phi.target else 1 for v in vs])
             return _align(counts, vs) == f
         if isinstance(phi, QApp):
-            q = self.quantifiers[phi.qname]
-            if q.sizes_decide is not None:
-                # unary slots (the entry point checked the arities) with a
-                # cardinality-only verdict: count witnesses along each
-                # bound axis and decide once per distinct size combination
-                counts = np.broadcast_arrays(*(
-                    _align(self._counts(self._table(k, sa), vb), vs)
-                    for ((vb,), _), k in zip(phi.slots, kids)))
-                dims = (n + 1,) * len(counts)
-                key = np.ravel_multi_index(counts, dims)
-                uniq, inv = np.unique(key, return_inverse=True)
-                digits = np.unravel_index(uniq, dims)
-                sizes = zip(*(d.tolist() for d in digits))
-                verdict = np.array([bool(q.sizes_decide(n, s)) for s in sizes],
-                                   dtype=bool)
-                return verdict[inv].reshape(key.shape)
-            # one decision per outer assignment; each slot's relation is the
-            # set of true cells in its table's slice at that assignment
+            # one decision for the whole batch of assignments to vs: each
+            # slot's table with vs as batch axes (length 1 where the slot
+            # does not depend on one, as on a variable it binds itself),
+            # then its bound variables as slot axes of length n; a decision
+            # may broadcast a slot over all those axes
             slots = []
             for (vb, _), k in zip(phi.slots, kids):
-                keep = tuple(v for v in vs if v not in vb)
-                axes = keep + vb
-                _check_cells(n, len(axes))
-                arr = _align(self._table(k, sa), axes)
-                slots.append(([vs.index(v) for v in keep],
-                              np.broadcast_to(arr, (n,) * len(axes))))
-            out = np.zeros((n,) * len(vs), dtype=bool)
-            for assign in np.ndindex(out.shape):
-                rels = [frozenset(map(tuple, np.argwhere(
-                            arr[tuple(assign[p] for p in pos)]).tolist()))
-                        for pos, arr in slots]
-                out[assign] = q.decide(n, rels, self.m.f)
-            return out
+                _check_cells(n, len(vs) + len(vb))
+                outer = tuple(None if v in vb else v for v in vs)
+                arr = _align(self._table(k, sa), outer + vb)
+                full = arr.shape[:len(vs)] + (n,) * len(vb)
+                slots.append(arr if arr.shape == full
+                             else np.broadcast_to(arr, full))
+            return self.quantifiers[phi.qname].decide(n, slots, self.fvals)
         if isinstance(phi, (SetExists, SetForall)):
             tables = (self._table(kids[0], {**sa, phi.setvar: s})[1]
                       for s in _subsets(n))

@@ -168,36 +168,6 @@ def br_isomorphic(m1: BrModel, m2: BrModel) -> bool:
     return True
 
 
-PADDING_SEARCH_CAP = 16
-
-
-def is_padding(small: BrModel, big: BrModel
-               ) -> tuple[bool, Optional[frozenset]]:
-    """Is `big` a padding of `small`: some U with big|U isomorphic to small
-    and every relation of big contained in U?  Exhaustive search over U up
-    to the size cap; above it a ValueError."""
-    if small.arities != big.arities:
-        raise ValueError("vocabulary mismatch")
-    support = {x for tuples in big.rels.values() for t in tuples for x in t}
-
-    def check(u) -> bool:
-        if not support <= set(u) or len(u) != small.n:
-            return False
-        sub, _ = relativize(big, u)
-        return br_isomorphic(small, sub)
-
-    if big.n > PADDING_SEARCH_CAP:
-        raise ValueError(f"domain above the search cap {PADDING_SEARCH_CAP}")
-    if len(support) > small.n:
-        return False, None
-    rest = sorted(set(range(big.n)) - support)
-    for extra in itertools.combinations(rest, small.n - len(support)):
-        u = frozenset(support | set(extra))
-        if check(u):
-            return True, u
-    return False, None
-
-
 def word_model(w: str, alphabet=None) -> BrModel:
     """The word as a structure: position i carries the unary letter
     predicate P_<letter>; f is the identity (reading order)."""
@@ -209,26 +179,6 @@ def word_model(w: str, alphabet=None) -> BrModel:
     arities = {f"P_{a}": 1 for a in letters}
     rels = {f"P_{a}": {(i,) for i, c in enumerate(w) if c == a} for a in letters}
     return BrModel(len(w), arities, rels)
-
-
-def slot_word(n: int, rels, letters, f) -> Optional[str]:
-    """The word that unary slots, one per letter, spell on {0,..,n-1}:
-    positions in f-order, each carrying exactly one letter.  None if the
-    slots do not partition the domain."""
-    owner = [None] * n
-    for rel, letter in zip(rels, letters):
-        for (a,) in rel:
-            if owner[a] is not None:
-                return None
-            owner[a] = letter
-    if any(o is None for o in owner):
-        return None
-    return "".join(owner[a] for a in sorted(range(n), key=lambda a: f[a]))
-
-
-def model_word(m: BrModel, letters) -> Optional[str]:
-    """The word a word model's letter predicates spell (see `slot_word`)."""
-    return slot_word(m.n, [m.rels[f"P_{a}"] for a in letters], letters, m.f)
 
 
 POWERSET_CAP = 5

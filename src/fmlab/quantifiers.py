@@ -8,37 +8,93 @@ from dataclasses import dataclass
 from math import isqrt
 from typing import Callable, Optional, Sequence
 
+import numpy as np
+
 from . import model as modelmod
-from .model import BrModel, NumericalRelation
+from .model import BrModel
 from .sets import NumericalSet, factorials, powers_of_two, squares
 
 
 @dataclass
 class Quantifier:
     """A named quantifier: slot arities plus a decision procedure on
-    (domain size, per-slot relations, permutation f).  The declared flags
-    are promises checked by tests, not trusted by the code."""
+    (domain size, slots, permutation f) that decides a whole batch of
+    structures at once.  The declared flags are promises checked by tests,
+    not trusted by the code.
+
+    A slot is a bool array of shape `batch + (n,) * arity`: its slot axes
+    always have length n, and its batch axes may have length 1 and
+    broadcast.  `f` is an int array of shape `(n,)` or `batch + (n,)`, so
+    that each structure may carry its own permutation.  `decide` returns a
+    bool array of the broadcast batch shape; one structure has
+    `batch = ()` and a 0-d verdict."""
     name: str
     slot_arities: tuple
     decide: Callable
     universe_independent: bool = False
     order_invariant: bool = False
-    # For unary-slot quantifiers whose verdict depends only on the slot
-    # cardinalities: a faster decide taking (n, sizes).
+    # For quantifiers whose verdict depends only on the slot sizes: the
+    # decision on (n, sizes), a tuple of ints.
     sizes_decide: Optional[Callable] = None
 
-    def __post_init__(self):
-        if self.sizes_decide is not None and any(a != 1 for a in self.slot_arities):
-            raise ValueError("sizes_decide requires all-unary slots")
+
+def slot_array(n: int, tuples, arity: int = 1) -> np.ndarray:
+    """The slot of shape (n,) * arity whose true cells are `tuples`."""
+    out = np.zeros((n,) * arity, dtype=bool)
+    rows = np.array(list(tuples), dtype=np.intp).reshape(-1, arity)
+    out[tuple(rows.T)] = True
+    return out
+
+
+def _full(arr: np.ndarray, shape: tuple) -> np.ndarray:
+    return arr if arr.shape == shape else np.broadcast_to(arr, shape)
+
+
+def _rows(n: int, arities: tuple, slots, f) -> tuple:
+    """The batch shape, and the slots and f broadcast over it, each with
+    the batch flattened to one leading axis of rows."""
+    f = np.asarray(f)
+    batch = np.broadcast_shapes(f.shape[:-1], *(
+        np.shape(s)[:np.ndim(s) - a] for s, a in zip(slots, arities)))
+    return (batch, [_full(s, batch + (n,) * a).reshape((-1,) + (n,) * a)
+                    for s, a in zip(slots, arities)],
+            _full(f, batch + (n,)).reshape(-1, n))
+
+
+def _per_structure(arities: tuple, decide_one: Callable) -> Callable:
+    """A batch `decide` that calls `decide_one(n, slots, f)` on each
+    structure of the batch: slots of shape (n,) * arity, f of shape (n,)."""
+
+    def decide(n, slots, f):
+        batch, slots, f = _rows(n, arities, slots, f)
+        return np.array([decide_one(n, [s[i] for s in slots], f[i])
+                         for i in range(len(f))], dtype=bool).reshape(batch)
+
+    return decide
 
 
 def _counting(name: str, arities: tuple, sizes_decide: Callable,
               **flags) -> Quantifier:
-    """A quantifier whose verdict depends only on its unary slots' sizes:
-    `decide` applies `sizes_decide` to them."""
-    return Quantifier(
-        name, arities, lambda n, rels, f: sizes_decide(n, tuple(map(len, rels))),
-        sizes_decide=sizes_decide, **flags)
+    """A quantifier whose verdict depends only on its slots' sizes:
+    `decide` sums each slot over its slot axes and applies `sizes_decide`
+    once per distinct size tuple in the batch."""
+
+    def decide(n, slots, f):
+        # the sizes as one key, slot by slot in base n^arity + 1, over the
+        # batch axes of the slots and of f
+        dims = tuple(n ** a + 1 for a in arities)
+        key = np.zeros(np.shape(f)[:-1], dtype=np.int64)
+        for s, a, d in zip(slots, arities, dims):
+            key = key * d + np.sum(s, axis=tuple(range(-a, 0)))
+        uniq, inv = np.unique(key, return_inverse=True)
+        digits = np.unravel_index(uniq, dims)
+        sizes = zip(*(d.tolist() for d in digits))
+        verdict = np.array([bool(sizes_decide(n, s)) for s in sizes],
+                           dtype=bool)
+        return verdict[inv].reshape(key.shape)
+
+    return Quantifier(name, arities, decide, sizes_decide=sizes_decide,
+                      **flags)
 
 
 def cardinality(s: NumericalSet, name: Optional[str] = None) -> Quantifier:
@@ -75,9 +131,8 @@ def majority() -> Quantifier:
 
 
 def majority_pairs() -> Quantifier:
-    return Quantifier("Maj2", (2,),
-                      lambda n, rels, f: 2 * len(rels[0]) > n * n,
-                      order_invariant=True)
+    return _counting("Maj2", (2,), lambda n, sizes: 2 * sizes[0] > n * n,
+                     order_invariant=True)
 
 
 def exists_nonempty() -> Quantifier:
@@ -119,6 +174,9 @@ def lang_ambmck() -> Language:
 
 
 def lang_parity(letter: str = "a") -> Language:
+    if letter not in ("a", "b"):
+        raise ValueError(f"language spec 'parity-{letter}': the letter must "
+                         "be in the alphabet ('a', 'b')")
     return Language(f"parity-{letter}", ("a", "b"),
                     lambda w: w.count(letter) % 2 == 0)
 
@@ -126,8 +184,10 @@ def lang_parity(letter: str = "a") -> Language:
 def neutral_letter_extension(lang: Language, e: str) -> Language:
     """The language over the extended alphabet whose membership ignores
     every occurrence of the fresh letter e."""
-    if e in lang.alphabet:
-        raise ValueError(f"{e!r} already belongs to the alphabet")
+    if len(e) != 1 or e in lang.alphabet:
+        raise ValueError(f"language spec 'neutral:{e}:{lang.name}': the "
+                         "neutral letter must be one character outside the "
+                         f"alphabet {lang.alphabet}")
     return Language(f"neutral:{e}:{lang.name}", lang.alphabet + (e,),
                     lambda w: lang.member(w.replace(e, "")))
 
@@ -157,21 +217,47 @@ def parse_lang_spec(text: str) -> Language:
     if text.startswith("parity-") and len(text) == 8:
         return lang_parity(text[-1])
     if text.startswith("neutral:"):
-        _, e, rest = text.split(":", 2)
-        return neutral_letter_extension(parse_lang_spec(rest), e)
+        parts = text.split(":", 2)
+        if len(parts) != 3:
+            raise ValueError(f"language spec {text!r}: want "
+                             "neutral:<letter>:<spec>")
+        return neutral_letter_extension(parse_lang_spec(parts[2]), parts[1])
     raise ValueError(f"unknown language spec {text!r}")
+
+
+# letters of a word quantifier; its code table has 2^k entries
+LETTER_CAP = 16
 
 
 def language_quantifier(lang: Language) -> Quantifier:
     """One unary slot per letter; true iff the slots partition the domain
     and the word read off in f-order belongs to the language."""
-    letters = lang.alphabet
+    k = len(lang.alphabet)
+    if k > LETTER_CAP:
+        raise ValueError(f"language {lang.name} has {k} letters; a word "
+                         f"quantifier takes at most {LETTER_CAP}")
+    # an element's slots as the bits of a code, 0 to 2^k - 1: the code of
+    # letter i is 2^i, and every other code, a gap or an overlap, reads as
+    # a character outside the alphabet (not NUL, which ends a numpy string)
+    bad = chr(max(map(ord, lang.alphabet)) + 1)
+    char = np.full(1 << k, bad)
+    char[1 << np.arange(k)] = lang.alphabet
 
-    def decide(n, rels, f):
-        w = modelmod.slot_word(n, rels, letters, f)
-        return w is not None and lang.member(w)
+    def decide(n, slots, f):
+        # each element's key: its f-value, then its code in the low k bits;
+        # f is a permutation, so the sorted keys hold the codes in f-order
+        key = np.asarray(f) << k
+        for i, s in enumerate(slots):
+            key = key | s << i
+        code = np.sort(key) & (1 << k) - 1
+        # one string a structure
+        spelled = np.ascontiguousarray(char[code]).view(f"<U{n}")[..., 0]
+        words = spelled.ravel().tolist()
+        member = {w: bad not in w and bool(lang.member(w)) for w in set(words)}
+        return np.array([member[w] for w in words],
+                        dtype=bool).reshape(spelled.shape)
 
-    return Quantifier(f"Q_{lang.name}", tuple(1 for _ in letters), decide)
+    return Quantifier(f"Q_{lang.name}", (1,) * k, decide)
 
 
 # ---------------------------------------------------------------------------
@@ -181,19 +267,21 @@ def language_quantifier(lang: Language) -> Quantifier:
 def quantifier_from_sentence(name: str, vocab: Sequence[tuple], sentence,
                              builtins=None) -> Quantifier:
     """`vocab` is an ordered list of (relation name, arity); the decision
-    procedure evaluates the sentence top-down on the assembled
-    br-structure."""
+    procedure evaluates the sentence top-down on each structure of the
+    batch, assembled as a br-structure."""
     from . import evaluator  # deferred: evaluator is a higher layer
 
     vocab = list(vocab)
+    arities = tuple(ar for _, ar in vocab)
     builtins = builtins if builtins is not None else modelmod.default_builtins()
 
-    def decide(n, rels, f):
-        m = BrModel(n, {nm: ar for nm, ar in vocab},
-                    {nm: rel for (nm, _), rel in zip(vocab, rels)}, f)
+    def decide_one(n, slots, f):
+        m = BrModel(n, dict(vocab), {nm: np.argwhere(s).tolist()
+                                     for (nm, _), s in zip(vocab, slots)},
+                    f.tolist())
         return evaluator.evaluate(m, sentence, {}, builtins=builtins)
 
-    return Quantifier(name, tuple(ar for _, ar in vocab), decide)
+    return Quantifier(name, arities, _per_structure(arities, decide_one))
 
 
 # ---------------------------------------------------------------------------
@@ -201,76 +289,58 @@ def quantifier_from_sentence(name: str, vocab: Sequence[tuple], sentence,
 
 
 def regularize(q: Quantifier) -> Quantifier:
-    """Add a unary relativization slot P: relativize the slot structure to
-    P's extension, then decide with q.  An empty P decides false (domains
-    are nonempty by convention)."""
+    """Add a unary relativization slot P: cut each slot to P's extension
+    and collapse f to ranks within P, then decide with q, once for all
+    the structures whose P has the same size.  An empty P decides false
+    (domains are nonempty by convention)."""
     arities = q.slot_arities + (1,)
 
-    def decide(n, rels, f):
-        p = sorted(a for (a,) in rels[-1])
-        if not p:
-            return False
-        names = [f"S{i}" for i in range(len(q.slot_arities))]
-        scratch = BrModel(n, {nm: ar for nm, ar in zip(names, q.slot_arities)},
-                          {nm: rel for nm, rel in zip(names, rels)}, f)
-        sub, _ = modelmod.relativize(scratch, p)
-        return q.decide(sub.n, [sub.rels[nm] for nm in names], sub.f)
+    def decide(n, slots, f):
+        batch, (*slots, p), f = _rows(n, arities, slots, f)
+        sizes = p.sum(axis=-1)
+        out = np.zeros(len(p), dtype=bool)
+        for m in set(sizes.tolist()) - {0}:
+            # the rows whose P has m elements, and those elements in order
+            at = np.flatnonzero(sizes == m)
+            elems = np.nonzero(p[at])[1].reshape(-1, m)
+
+            def cut(s, a):
+                return s[(at.reshape((-1,) + (1,) * a),) + tuple(
+                    elems.reshape((-1,) + (1,) * j + (m,) + (1,) * (a - 1 - j))
+                    for j in range(a))]
+
+            ranks = np.argsort(np.argsort(f[at[:, None], elems]))
+            out[at] = q.decide(m, [cut(s, a) for s, a
+                                   in zip(slots, q.slot_arities)], ranks)
+        return out.reshape(batch)
 
     return Quantifier(f"{q.name}^reg", arities, decide,
                       universe_independent=True,
                       order_invariant=q.order_invariant)
 
 
-def _order_permutation(n: int, order) -> Optional[tuple]:
-    """If `order` is the reflexive closure of a strict total order on the
-    whole domain, the permutation mapping each element to its rank;
-    otherwise None."""
-    if len(order) != n * (n + 1) // 2:
-        return None
-    ranks = [0] * n
-    diag = 0
-    for a, b in order:
-        if not (0 <= a < n and 0 <= b < n):
-            return None
-        if a == b:
-            diag += 1
-        else:
-            ranks[b] += 1
-    if diag != n or sorted(ranks) != list(range(n)):
-        return None
-    for a, b in order:
-        if ranks[a] > ranks[b]:
-            return None
-    return tuple(ranks)
-
-
 def lift_over_order(q: Quantifier) -> Quantifier:
     """The ordered lift: one extra binary slot carrying an explicit order.
-    If that slot is a linear (reflexive total) order of the domain, decide
-    with the permutation recovered from it, ignoring the ambient one."""
+    Where that slot is a linear (reflexive total) order of the domain,
+    decide with the permutation recovered from it, each element's rank
+    its in-degree, ignoring the ambient f; elsewhere decide false."""
     arities = q.slot_arities + (2,)
 
-    def decide(n, rels, f):
-        recovered = _order_permutation(n, rels[-1])
-        if recovered is None:
-            return False
-        return q.decide(n, rels[:-1], recovered)
+    def decide(n, slots, f):
+        order = slots[-1]
+        ranks = np.sum(order, axis=-2) - 1  # in-degree, less the loop
+        linear = (np.diagonal(order, axis1=-2, axis2=-1).all(axis=-1)
+                  & (np.sum(order, axis=(-2, -1)) == n * (n + 1) // 2)
+                  # the ranks are a permutation ...
+                  & (ranks[..., None] == np.arange(n)).any(axis=-2).all(axis=-1)
+                  # ... and every pair of the order agrees with them
+                  & ~(order & (ranks[..., :, None] > ranks[..., None, :]))
+                  .any(axis=(-2, -1)))
+        # elsewhere the ambient f, which keeps f's batch axes
+        ranks = np.where(linear[..., None], ranks, f)
+        return linear & q.decide(n, slots[:-1], ranks)
 
     return Quantifier(f"{q.name}^le", arities, decide)
-
-
-def b_set_quantifier(rel: NumericalRelation) -> Quantifier:
-    """k unary slots; true iff the slot sizes, each shifted down by one,
-    form a tuple in the relation.  Any empty slot decides false."""
-    k = rel.arity
-
-    def sizes_decide(n, sizes):
-        if any(s == 0 for s in sizes):
-            return False
-        return bool(rel.holds(*(s - 1 for s in sizes)))
-
-    return _counting(f"B_{rel.name}", (1,) * k, sizes_decide,
-                     universe_independent=True, order_invariant=True)
 
 
 def powerset_quantifier() -> Quantifier:
@@ -279,24 +349,16 @@ def powerset_quantifier() -> Quantifier:
     structurally: D and R = range(E) disjoint, the neighborhood map on R
     injective, and |R| = 2^|D| - 1."""
 
-    def decide(n, rels, f):
-        e = rels[0]
-        dom = {a for a, _ in e}
-        rng = {b for _, b in e}
-        if not dom or dom & rng:
+    def decide_one(n, slots, f):
+        e = slots[0]
+        dom, rng = e.any(axis=1), e.any(axis=0)
+        d, r = int(dom.sum()), int(rng.sum())
+        if not d or (dom & rng).any() or r != 2 ** d - 1:
             return False
-        if len(rng) != 2 ** len(dom) - 1:
-            return False
-        neighborhoods = {}
-        for a, b in e:
-            neighborhoods.setdefault(b, set()).add(a)
-        distinct = {frozenset(s) for s in neighborhoods.values()}
-        if len(distinct) != len(rng):
-            return False
-        d = len(dom)
-        return isqrt(d) ** 2 == d
+        neighborhoods = {e[:, b].tobytes() for b in np.flatnonzero(rng)}
+        return len(neighborhoods) == r and isqrt(d) ** 2 == d
 
-    return Quantifier("PowSq", (2,), decide,
+    return Quantifier("PowSq", (2,), _per_structure((2,), decide_one),
                       universe_independent=True, order_invariant=True)
 
 

@@ -22,8 +22,6 @@ _CHUNK = 1 << 15  # naturals a scanned set reads at once
 _CELLS = 1 << 13  # cells f_omega's walks read at once
 _ROOT_DEGREE = 64  # the largest q of floorpow:p/q, in lowest terms
 
-INFINITY = float("inf")
-
 
 class HorizonExceeded(Exception):
     """Raised when an element search runs past the configured horizon."""
@@ -351,15 +349,6 @@ def parse_set_spec(text: str) -> NumericalSet:
 
 # ---------------------------------------------------------------------------
 # gap statistics
-
-
-def delta(s: NumericalSet, m: int):
-    """Gap from m to the next element of s above it; INFINITY when the set is
-    finite and m is its maximum."""
-    if not s.contains(m):
-        raise ValueError(f"{m} is not in {s.spec}")
-    nxt = s.next_above(m)
-    return INFINITY if nxt is None else nxt - m
 
 
 def _chi(s: NumericalSet, hi: int, lo: int = 0, capped: bool = True

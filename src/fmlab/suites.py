@@ -111,10 +111,6 @@ def _rejects(call) -> bool:
     return False
 
 
-def _unary(xs) -> frozenset:
-    return frozenset((x,) for x in xs)
-
-
 def _random_fo_model(rng, n, arities, p=0.4) -> BrModel:
     rels = {name: {t for t in itertools.product(range(n), repeat=ar)
                    if rng.random() < p}
@@ -140,7 +136,13 @@ def _masks(n: int):
 
 
 def _mask_rel(mask: int, n: int) -> frozenset:
-    return _unary(i for i in range(n) if mask >> i & 1)
+    return frozenset((i,) for i in range(n) if mask >> i & 1)
+
+
+def _mask_bits(n: int) -> np.ndarray:
+    """Every subset of n points as a unary slot: row `mask` holds bit i of
+    mask at column i."""
+    return (np.arange(1 << n)[:, None] >> np.arange(n) & 1).astype(bool)
 
 
 # ---------------------------------------------------------------------------
@@ -429,17 +431,20 @@ REG_UI_BASES = 10
 REG_UI_PADDINGS = 100
 
 
-def _pad_structure(rng, n0, rels0, f0, n):
+def _pad_structure(rng, n0, slots0, f0, n):
     """Embed an n0-point slot structure into n points, preserving the
     relative order of the image; fresh points carry no relation tuples."""
     image = sorted(rng.sample(range(n), n0))
     fbig = list(range(n))
     rng.shuffle(fbig)
-    img_by_rank = sorted(image, key=lambda e: fbig[e])
-    base_by_rank = sorted(range(n0), key=lambda e: f0[e])
-    sigma = dict(zip(base_by_rank, img_by_rank))
-    mapped = [frozenset(tuple(sigma[x] for x in t) for t in rel)
-              for rel in rels0]
+    sigma = np.zeros(n0, dtype=np.intp)
+    sigma[sorted(range(n0), key=lambda e: f0[e])] = sorted(
+        image, key=lambda e: fbig[e])
+    mapped = []
+    for slot in slots0:
+        out = np.zeros((n,) * slot.ndim, dtype=bool)
+        out[tuple(sigma[c] for c in np.nonzero(slot))] = True
+        mapped.append(out)
     return mapped, fbig
 
 
@@ -456,14 +461,14 @@ def _suite_regularization_ui(seed) -> list[Claim]:
                 n0 = rng.randrange(1, 7)
                 f0 = list(range(n0))
                 rng.shuffle(f0)
-                rels0 = [frozenset(t for t in
-                                   itertools.product(range(n0), repeat=ar)
-                                   if rng.random() < 0.5)
+                slots0 = [np.array([rng.random() < 0.5
+                                   for _ in range(n0 ** ar)]).reshape(
+                                       (n0,) * ar)
                          for ar in qreg.slot_arities]
-                want = qreg.decide(n0, rels0, f0)
+                want = qreg.decide(n0, slots0, f0)
                 for p in range(REG_UI_PADDINGS):
                     n = rng.randrange(n0, 11)
-                    mapped, fbig = _pad_structure(rng, n0, rels0, f0, n)
+                    mapped, fbig = _pad_structure(rng, n0, slots0, f0, n)
                     yield (q.name, b, p), qreg, n, mapped, fbig, want
 
     claims = _first_failures(paddings(), (
@@ -473,11 +478,13 @@ def _suite_regularization_ui(seed) -> list[Claim]:
         _decides_as_expected))
     # contrast: the bare word-language quantifier is padding sensitive
     q = quantmod.language_quantifier(quantmod.lang_anbn())
-    inside = q.decide(2, [_unary({0}), _unary({1})], [0, 1])
-    padded = q.decide(3, [_unary({0}), _unary({1})], [0, 1, 2])
+    inside = q.decide(2, [quantmod.slot_array(2, [0]),
+                          quantmod.slot_array(2, [1])], np.arange(2))
+    padded = q.decide(3, [quantmod.slot_array(3, [0]),
+                          quantmod.slot_array(3, [1])], np.arange(3))
     claims.append(Claim("the bare word quantifier is not padding invariant "
                         "(so the extra slot is doing real work)",
-                        inside and not padded))
+                        bool(inside and not padded)))
     return claims
 
 
@@ -490,6 +497,7 @@ TAILORED_ORDER = (
     " | (U(x) & V(x) & !U(y) & !V(y))")
 
 LIFT_NS = range(1, 10)
+LIFT_CHUNK = 1 << 14  # (U, V) pairs a batch
 
 
 def _order_lookup() -> tuple[bool, list]:
@@ -522,34 +530,33 @@ def _suite_lift_hartig(seed) -> list[Claim]:
     lifted = quantmod.lift_over_order(
         quantmod.language_quantifier(quantmod.lang_ambmck()))
     consistent, lut = _order_lookup()
+    lut = np.array(lut)  # [class of x, class of y, x <= y]
     claims = [Claim("the tailored-order formula depends only on membership "
                     "classes and the ambient comparison", consistent)]
 
-    def slot_structures():
+    def mismatches():
+        # one case per batch of (U, V) pairs, in the order Umask, Vmask;
+        # where names the first miss
         for n in LIFT_NS:
-            dom = range(n)
-            f = list(dom)
-            pairs = [((x, y), x <= y) for x in dom for y in dom]
-            bits = [[w >> i & 1 for i in range(n)] for w in _masks(n)]
-            pcs = [sum(b) for b in bits]
-            for um in _masks(n):
-                ub = bits[um]
-                pu = pcs[um]
-                for vm in _masks(n):
-                    vb = bits[vm]
-                    cl = [ub[i] + 2 * vb[i] for i in range(n)]
-                    order = frozenset(t for t, le in pairs
-                                      if lut[cl[t[0]]][cl[t[1]]][le])
-                    slots = [frozenset((i,) for i in dom if cl[i] == 1),
-                             frozenset((i,) for i in dom if cl[i] == 2),
-                             frozenset((i,) for i in dom if cl[i] in (0, 3)),
-                             order]
-                    yield (n, um, vm), lifted, n, slots, f, pu == pcs[vm]
+            dom = np.arange(n)
+            bits = _mask_bits(n).astype(np.int8)
+            sizes = bits.sum(axis=1)
+            le = (dom[:, None] <= dom).astype(np.int8)
+            for start in range(0, 1 << 2 * n, LIFT_CHUNK):
+                pair = np.arange(start, min(start + LIFT_CHUNK, 1 << 2 * n))
+                um, vm = pair >> n, pair & ((1 << n) - 1)
+                cl = bits[um] + 2 * bits[vm]
+                order = lut[cl[:, :, None], cl[:, None, :], le]
+                got = lifted.decide(n, [cl == 1, cl == 2, (cl == 0) | (cl == 3),
+                                        order], dom)
+                wrong = np.flatnonzero(got != (sizes[um] == sizes[vm]))
+                yield ((n, int(um[wrong[0]]), int(vm[wrong[0]]))
+                       if len(wrong) else n), wrong
 
-    claims += _first_failures(slot_structures(), (
+    claims += _first_failures(mismatches(), (
         "the ordered lift applied along the tailored order decides "
         "equicardinality on all (U, V), n <= 9", "n,Umask,Vmask",
-        _decides_as_expected))
+        lambda wrong: not len(wrong)))
     # full-formula route on a sample, against the same verdicts
     reg = {"Qab_le": lifted}
     qtext = ("Qab_le(x: U(x) & !V(x); y: V(y) & !U(y); z: U(z) <-> V(z); "
@@ -574,18 +581,18 @@ def _suite_rc_unary(seed) -> list[Claim]:
     splus1 = setsmod.explicit([k + 1 for k in RC_SET])
     card = quantmod.cardinality(splus1, "C_S1")
 
-    def subsets(ns):
-        return (((n, mask), n, _mask_rel(mask, n))
-                for n in ns for mask in _masks(n))
+    def mismatches():
+        # one case per n: every U at once; where names its first miss
+        for n in RC_NS:
+            u, f = _mask_bits(n), np.arange(n)
+            wrong = np.flatnonzero(qrc.decide(n, [u, u], f)
+                                   != card.decide(n, [u], f))
+            yield ((n, int(wrong[0])) if len(wrong) else n), wrong
 
-    def agrees_with_card(n, rel):
-        f = list(range(n))
-        return qrc.decide(n, [rel, rel], f) == card.decide(n, [rel], f)
-
-    claims = _first_failures(subsets(RC_NS), (
+    claims = _first_failures(mismatches(), (
         "regularized initial-segment quantifier applied to (U, U) agrees "
         "with the shifted cardinality quantifier on every U, n <= 12",
-        "n,mask", agrees_with_card))
+        "n,mask", lambda wrong: not len(wrong)))
     reg = {"QrcReg": qrc}
     phi = parse("QrcReg(x: U(x); y: U(y))", {"U": 1},
                 quantmod.registry_shapes(reg))
@@ -594,7 +601,9 @@ def _suite_rc_unary(seed) -> list[Claim]:
         m = BrModel(n, {"U": 1}, {"U": set(rel)}, list(range(n)))
         return evaluate(m, phi, {}, quantifiers=reg) == (len(rel) in splus1)
 
-    claims += _first_failures(subsets(range(1, 9)), (
+    subsets = (((n, mask), n, _mask_rel(mask, n))
+               for n in range(1, 9) for mask in _masks(n))
+    claims += _first_failures(subsets, (
         "the same check through formula evaluation, exhaustive for n <= 8",
         "n,mask", by_formula))
 
@@ -607,7 +616,8 @@ def _suite_rc_unary(seed) -> list[Claim]:
             u = {x for x in v if rng.random() < 0.6}
             by_rank = sorted(v, key=lambda e: f[e])
             want = len(u) in splus1 and u == set(by_rank[:len(u)])
-            yield i, qrc, n, [_unary(u), _unary(v)], f, want
+            yield (i, qrc, n, [quantmod.slot_array(n, u),
+                               quantmod.slot_array(n, v)], f, want)
 
     return claims + _first_failures(slot_pairs(), (
         "on slot pairs U within V: verdict iff |U| is a shifted member and U "
@@ -829,7 +839,12 @@ def _suite_mso_counterexample(seed) -> list[Claim]:
         f"unary words, k = 1..4 ({MSO_CORPUS} rank <= 3 sentences)",
         "k,sentence", transfers))
     pq = quantmod.powerset_quantifier()
-    got = {k: pq.decide((m := powerset_structure(k)).n, [m.rels["E"]], m.f)
+
+    def membership(m, pairs):
+        return bool(pq.decide(m.n, [quantmod.slot_array(m.n, pairs, 2)],
+                              m.f))
+
+    got = {k: membership(m := powerset_structure(k), m.rels["E"])
            for k in POWERSET_KS}
     want = {k: k in (1, 4) for k in POWERSET_KS}
     claims.append(Claim("the subset-membership quantifier accepts the "
@@ -839,7 +854,7 @@ def _suite_mso_counterexample(seed) -> list[Claim]:
     broken = set(m4.rels["E"])
     broken.discard(next(iter(broken)))
     claims.append(Claim("dropping one membership pair is detected",
-                        not pq.decide(m4.n, [frozenset(broken)], m4.f)))
+                        not membership(m4, broken)))
     return claims
 
 

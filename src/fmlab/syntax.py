@@ -202,13 +202,6 @@ def conj(parts):
     return functools.reduce(And, parts)
 
 
-def disj(parts):
-    parts = list(parts)
-    if not parts:
-        raise ValueError("empty disjunction")
-    return functools.reduce(Or, parts)
-
-
 def is_set_var(name: str) -> bool:
     return bool(name) and name[0].isupper()
 
@@ -226,10 +219,6 @@ def _join(phi: Formula, children) -> Formula:
 def free_variables(phi: Formula) -> set[str]:
     """Free first-order variables."""
     return set(phi.free)
-
-
-def free_set_variables(phi: Formula) -> set[str]:
-    return set(phi.free_sets)
 
 
 _BINDERS = (Exists, Forall, Count, QApp, SetExists, SetForall)

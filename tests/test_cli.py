@@ -221,6 +221,22 @@ def test_config_registers_sets_and_quantifiers(tmp_path, rel_model, capsys):
     assert main(["--config", str(cfg), "parse", "--formula", "x = x"]) == 2
 
 
+@pytest.mark.parametrize("spec", ["neutral:ab:anbn", "neutral::anbn",
+                                  "parity-z", "neutral:"])
+def test_config_refuses_a_bad_language_spec(tmp_path, capsys, spec):
+    # with neutral:ab:anbn, QX(x: U(x); y: V(y); z: !U(z) & !V(z)) held
+    # where U and V spell a.b.a.b, as if abab were in a^nb^n
+    model = tmp_path / "uv.txt"
+    model.write_text("model\nn 4\nrel U 1 : 0 2\nrel V 1 : 1 3\nend\n")
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text(f"quantifier QX lang:{spec}\n")
+    assert main(["--config", str(cfg), "eval", "--model", str(model),
+                 "--formula", "QX(x: U(x); y: V(y); z: !U(z) & !V(z))"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and repr(spec) in err
+    assert "Traceback" not in err
+
+
 def test_check_command(capsys):
     assert main(["check", "neutral-letter"]) == 0
     out = capsys.readouterr().out

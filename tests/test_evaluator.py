@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fmlab import quantifiers as Q, sets
+from fmlab import evaluator, quantifiers as Q, sets
 from fmlab.evaluator import (BudgetExceeded, TruthTables, define_relation,
                              ef_equivalent, evaluate, evaluate_fast,
                              evaluate_naive)
@@ -114,6 +114,20 @@ def test_table_cap_refuses_before_building():
         define_relation(m, parse("x = y"), ("x", "y", "z", "w", "u", "v"))
 
 
+def test_table_cap_counts_a_slot_over_every_outer_variable(monkeypatch):
+    # each slot binds a variable that is free in the application, so its
+    # table has two variables; but a decision broadcasts each slot over
+    # both outer variables and its own bound one: 8**3 cells
+    m = BrModel(8, VOCAB, {"U": set(), "R": {(0, 1), (1, 0)}})
+    phi = parse("W(x: R(x, y); y: R(x, y))", VOCAB,
+                Q.registry_shapes(QUANTS))
+    monkeypatch.setattr(evaluator, "TABLE_CAP", 8 ** 2)
+    with pytest.raises(BudgetExceeded, match="over 3 variables"):
+        TruthTables(m, quantifiers=QUANTS).table(phi)
+    monkeypatch.setattr(evaluator, "TABLE_CAP", 8 ** 3)
+    assert TruthTables(m, quantifiers=QUANTS).table(phi)[1].shape == (8, 8)
+
+
 def test_unassigned_free_variable_is_an_error():
     m = BrModel(3, {}, {})
     with pytest.raises(ValueError):
@@ -144,7 +158,22 @@ FORMULAS = [
     "@bit(x, y)",
     "x < y",
     "@set:sq(x)",
+    # word quantifiers and the constructions, over one or two outer
+    # variables, which the table engine hands over as batch axes
+    "W(x: R(x, y); z: !R(z, w))",
+    "W(x: U(x) & x <= y; z: !(U(z) & z <= y))",
+    "Wle(x: R(x, z); y: !R(y, z); s, t: t <= s)",
+    "Wle(x: U(x); y: !U(y); s, t: R(s, t) | s = t)",
+    "Ireg(x: U(x); y: R(y, z); p: R(w, p))",
+    "PowSq(x, y: R(x, y) & !(x = z))",
 ]
+
+# the built-in registry and the word quantifier for a^nb^n, its ordered
+# lift and the regularized equicardinality quantifier
+QUANTS = {**Q.builtin_quantifiers(),
+          "W": Q.language_quantifier(Q.lang_anbn()),
+          "Wle": Q.lift_over_order(Q.language_quantifier(Q.lang_anbn())),
+          "Ireg": Q.regularize(Q.hartig())}
 
 
 @given(st.integers(1, 5), st.integers(0, len(FORMULAS) - 1),
@@ -152,7 +181,7 @@ FORMULAS = [
 @settings(max_examples=120, deadline=None)
 def test_three_engines_agree(n, which, rng):
     m = fo_model(rng, n)
-    quants = Q.builtin_quantifiers()
+    quants = QUANTS
     phi = parse(FORMULAS[which], VOCAB, Q.registry_shapes(quants))
     from fmlab.syntax import free_variables
     a = {v: rng.randrange(n) for v in free_variables(phi)}
@@ -164,7 +193,7 @@ def test_three_engines_agree(n, which, rng):
 
 @pytest.mark.parametrize("text", FORMULAS)
 def test_tables_agree_at_every_assignment(text):
-    quants = Q.builtin_quantifiers()
+    quants = QUANTS
     phi = parse(text, VOCAB, Q.registry_shapes(quants))
     rng = random.Random(text)
     for n in (1, 2, 3, 4, 4):
@@ -215,8 +244,8 @@ def test_reused_truth_tables_never_alias():
 @pytest.mark.parametrize("engine", [evaluate, evaluate_naive, evaluate_fast])
 @pytest.mark.parametrize("text", ["Maj(x, y: R(x, y))", "Maj2(x: U(x))"])
 def test_slot_arity_checked_by_every_engine(engine, text):
-    # parsed without shapes; Maj has a sizes_decide, Maj2 takes the
-    # general route
+    # parsed without shapes: a unary quantifier given a binary slot, and
+    # a binary one given a unary slot
     m = fo_model(random.Random(4), 3)
     with pytest.raises(ValueError, match="slot arities"):
         engine(m, parse(text, VOCAB), {})
@@ -322,7 +351,8 @@ def test_sentence_defined_quantifier():
     rng = random.Random(2)
     for _ in range(40):
         n = rng.randrange(1, 7)
-        rels = [frozenset((a,) for a in range(n) if rng.random() < 0.5)
+        rels = [Q.slot_array(n, ((a,) for a in range(n)
+                                 if rng.random() < 0.5))
                 for _ in range(2)]
         f = list(range(n))
         rng.shuffle(f)

@@ -6,12 +6,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fmlab import model as M
-from fmlab.model import (PADDING_SEARCH_CAP, BrModel, PartialArithModel,
-                         br_isomorphic, builtin_registry, full_multiplication,
-                         is_padding, parse_model, format_model,
-                         powerset_structure, relativize, word_model,
-                         zero_rows)
+from fmlab.model import (BrModel, PartialArithModel, br_isomorphic,
+                         builtin_registry, full_multiplication, parse_model,
+                         format_model, powerset_structure, relativize,
+                         word_model, zero_rows)
 
 
 def perms(n):
@@ -117,26 +115,12 @@ def test_br_isomorphic_is_equivalence():
             assert br_isomorphic(m1, m3)
 
 
-def test_is_padding():
-    small = word_model("ab")
-    big = BrModel(4, {"P_a": 1, "P_b": 1}, {"P_a": {(0,)}, "P_b": {(1,)}})
-    ok, u = is_padding(small, big)
-    assert ok and {0, 1} <= set(u)
-    assert is_padding(small, small)[0]
-    assert not is_padding(small, word_model("ba"))[0]
-    above_cap = BrModel(PADDING_SEARCH_CAP + 1, big.arities, big.rels)
-    with pytest.raises(ValueError, match="search cap"):
-        is_padding(small, above_cap)
-
-
 def test_word_model():
     m = word_model("aab")
     assert m.rels["P_a"] == {(0,), (1,)} and m.rels["P_b"] == {(2,)}
     assert word_model("e").rels["P_e"] == {(0,)}
     m2 = word_model("abab")
     assert m2.rels["P_a"] == {(0,), (2,)} and m2.rels["P_b"] == {(1,), (3,)}
-    assert M.model_word(m, "ab") == "aab"
-    assert M.model_word(BrModel(1, {"P_a": 1, "P_b": 1}, {}), "ab") is None
 
 
 def test_powerset_structure():

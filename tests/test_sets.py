@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fmlab import sets
-from fmlab.sets import (INFINITY, delta, f_omega, gamma_s, is_periodic_on,
+from fmlab.sets import (f_omega, gamma_s, is_periodic_on,
                         loose_at, nonperiodicity_criterion, occurrence_set,
                         parse_set_spec, pseudoloose_at, recheck_report)
 
@@ -22,14 +22,6 @@ Nat = sets.naturals()
 def some_sets():
     return [Sq, E, F, Nat, sets.multiples(3), sets.primes(),
             sets.poly_range([0, 1, 1]), sets.floor_power_range(3, 2)]
-
-
-def test_delta_examples():
-    assert delta(Sq, 4) == 5
-    assert delta(sets.explicit([0]), 0) == INFINITY
-    assert delta(F, 6) == 18
-    with pytest.raises(ValueError):
-        delta(Sq, 5)
 
 
 def test_gamma_examples():
@@ -127,13 +119,13 @@ def test_occurrence_set_examples():
 
 
 @given(st.integers(0, 7), st.integers(1, 40))
-def test_delta_next_element_invariant(which, bound):
+def test_next_above_is_the_next_element(which, bound):
     s = some_sets()[which]
     for m in s.elements_below(bound):
-        d = delta(s, m)
-        if d is not INFINITY:
-            assert s.contains(m + d)
-            assert not any(s.contains(k) for k in range(m + 1, m + d))
+        nxt = s.next_above(m)
+        assert nxt is not None  # every set here is infinite
+        assert nxt > m and s.contains(nxt)
+        assert not any(s.contains(k) for k in range(m + 1, nxt))
 
 
 # -- estimates tying gamma to the periodicity measures ----------------------

@@ -10,7 +10,7 @@ from fmlab.randform import random_formula
 from fmlab.syntax import (MAX_DEPTH, And, Atom, BuiltinAtom, Count, Eq,
                           Exists, Forall, Iff, Imp, Not, Or,
                           ParseError, QApp, SetAtom, SetExists, SetForall,
-                          conj, disj, free_set_variables, free_variables,
+                          conj, free_variables,
                           parse, pretty, quantifier_rank, subformulas)
 
 V = {"P": 1, "R": 2, "S": 3}
@@ -84,10 +84,10 @@ def test_reserved_names_as_relations():
 def test_set_variables():
     phi = parse("EX X. A y. (X(y) -> P(y))", V)
     assert isinstance(phi, SetExists)
-    assert free_set_variables(phi) == set()
+    assert set(phi.free_sets) == set()
     open_phi = parse("X(y)", V)
     assert open_phi == SetAtom("X", "y")
-    assert free_set_variables(open_phi) == {"X"}
+    assert set(open_phi.free_sets) == {"X"}
 
 
 def test_bound_set_variables_need_no_vocabulary():
@@ -137,10 +137,9 @@ def test_measures():
     assert twice.left is twice.right
 
 
-def test_conj_disj_helpers():
+def test_conj_helper():
     parts = [Atom("P", (v,)) for v in "xyz"]
     assert pretty(conj(parts)) == "P(x) & P(y) & P(z)"
-    assert pretty(disj(parts)) == "P(x) | P(y) | P(z)"
     with pytest.raises(ValueError):
         conj([])
 
