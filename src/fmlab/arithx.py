@@ -24,8 +24,6 @@ from .sets import NumericalSet, floor_nth_root, gamma_s, occurrence_set
 from .syntax import Formula, parse
 
 ARITH_VOCAB = {"A": 3, "M": 3}
-# the largest domain `mu_relation_oracle` evaluates the formula on
-ORACLE_CAP = 14
 
 MU_TEXT = """
 E t. E t1'. E u. E u1'. E v. E v1'. (
@@ -45,9 +43,9 @@ def mu_formula() -> Formula:
 
 
 def mu_relation_oracle(pm: PartialArithModel) -> frozenset:
-    """Direct evaluation of the extension formula; small domains only."""
-    if pm.n > ORACLE_CAP:
-        raise ValueError(f"oracle evaluation capped at n <= {ORACLE_CAP}")
+    """Direct evaluation of the extension formula by the table engine.
+    Its widest table spans 9 variables, so it answers for n <= 8 and
+    raises `BudgetExceeded` beyond, where its tables pass `TABLE_CAP`."""
     return define_relation(pm.as_br_model(), mu_formula(), ("x", "y", "z"))
 
 
@@ -70,10 +68,6 @@ def _half_round(known: np.ndarray) -> np.ndarray:
         for v in row.nonzero()[0].tolist():
             sums[v:] |= row[:width - v]
     return out
-
-
-def mu_relation(pm: PartialArithModel) -> frozenset:
-    return mu_step(pm).mult
 
 
 def mu_step(pm: PartialArithModel) -> PartialArithModel:

@@ -259,31 +259,21 @@ class TruthTables(_Engine):
         return (tuple(v for v in vs if v != var),
                 arr.sum(axis=vs.index(var), dtype=np.int64))
 
-    def _atom(self, vs, args, tuples) -> np.ndarray:
-        """Set the listed tuples, keeping only those that agree on
-        repeated argument variables."""
-        rows = np.array(list(tuples), dtype=np.intp).reshape(-1, len(args))
-        cols = [args.index(v) for v in args]
-        rows = rows[(rows == rows[:, cols]).all(axis=1)]
-        arr = np.zeros((self.n,) * len(vs), dtype=bool)
-        arr[tuple(rows[:, args.index(v)] for v in vs)] = True
-        return arr
-
-    def _builtin(self, phi: BuiltinAtom, vs) -> np.ndarray:
-        rel = self.builtins[phi.name]
-        if rel.arity == 1:
-            return np.array([rel.holds(x) for x in self.m.f], dtype=bool)
-        return rel.holds(*(self.fvals.reshape([self.n if w == v else 1
-                                               for w in vs])
-                           for v in phi.args))
-
     def _build(self, phi, sa) -> np.ndarray:
         n = self.n
         kids, vs = phi.kids, phi.free
-        if isinstance(phi, Atom):
-            return self._atom(vs, phi.args, self.m.rels[phi.name])
-        if isinstance(phi, BuiltinAtom):
-            return self._builtin(phi, vs)
+        if isinstance(phi, (Atom, BuiltinAtom)):
+            # argument i read at the grid of its variable's axis in vs, so
+            # repeated and permuted arguments need no special case
+            grid = tuple(np.arange(n).reshape([n if w == v else 1 for w in vs])
+                         for v in phi.args)
+            if isinstance(phi, Atom):
+                return quantmod.slot_array(n, self.m.rels[phi.name],
+                                           len(grid))[grid]
+            rel = self.builtins[phi.name]
+            if rel.arity == 1:
+                return np.array([rel.holds(x) for x in self.m.f], dtype=bool)
+            return rel.holds(*(self.fvals[g] for g in grid))
         if isinstance(phi, Eq):
             return np.eye(n, dtype=bool) if len(vs) == 2 else np.ones(n, bool)
         if isinstance(phi, SetAtom):

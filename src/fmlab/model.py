@@ -62,12 +62,6 @@ class BrModel:
     def __repr__(self):
         return f"BrModel(n={self.n}, rels={sorted(self.rels)})"
 
-    def f_inverse(self) -> tuple:
-        inv = [0] * self.n
-        for a, v in enumerate(self.f):
-            inv[v] = a
-        return tuple(inv)
-
     def with_relations(self, extra: dict[str, Iterable[tuple]],
                        arities: dict[str, int]) -> "BrModel":
         ar = dict(self.arities)
@@ -150,22 +144,6 @@ def relativize(m: BrModel, universe) -> tuple[BrModel, dict[int, int]]:
         rels[name] = {tuple(idx[x] for x in t) for t in tuples
                       if all(x in idx for x in t)}
     return BrModel(len(u), m.arities, rels, new_f), idx
-
-
-def br_isomorphic(m1: BrModel, m2: BrModel) -> bool:
-    """The permutation condition forces the only candidate isomorphism
-    h = g^-1 . f; check that it preserves all relations both ways."""
-    if m1.arities != m2.arities:
-        raise ValueError("vocabulary mismatch")
-    if m1.n != m2.n:
-        return False
-    g_inv = m2.f_inverse()
-    h = tuple(g_inv[m1.f[a]] for a in range(m1.n))
-    for name, tuples in m1.rels.items():
-        mapped = {tuple(h[x] for x in t) for t in tuples}
-        if mapped != m2.rels[name]:
-            return False
-    return True
 
 
 def word_model(w: str, alphabet=None) -> BrModel:

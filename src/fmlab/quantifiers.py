@@ -41,8 +41,10 @@ class Quantifier:
 def slot_array(n: int, tuples, arity: int = 1) -> np.ndarray:
     """The slot of shape (n,) * arity whose true cells are `tuples`."""
     out = np.zeros((n,) * arity, dtype=bool)
-    rows = np.array(list(tuples), dtype=np.intp).reshape(-1, arity)
-    out[tuple(rows.T)] = True
+    rows = np.array(list(tuples), dtype=np.intp)
+    rows = rows.reshape(len(rows), arity)
+    if len(rows):  # at arity 0 an empty index would set the one cell
+        out[tuple(rows.T)] = True
     return out
 
 

@@ -131,10 +131,6 @@ def _equicardinality_claims(label, rng, phi, reg, count, max_n) -> list[Claim]:
         == (len(m.rels["U"]) == len(m.rels["V"]))))
 
 
-def _masks(n: int):
-    return range(1 << n)
-
-
 def _mask_rel(mask: int, n: int) -> frozenset:
     return frozenset((i,) for i in range(n) if mask >> i & 1)
 
@@ -440,12 +436,8 @@ def _pad_structure(rng, n0, slots0, f0, n):
     sigma = np.zeros(n0, dtype=np.intp)
     sigma[sorted(range(n0), key=lambda e: f0[e])] = sorted(
         image, key=lambda e: fbig[e])
-    mapped = []
-    for slot in slots0:
-        out = np.zeros((n,) * slot.ndim, dtype=bool)
-        out[tuple(sigma[c] for c in np.nonzero(slot))] = True
-        mapped.append(out)
-    return mapped, fbig
+    return [quantmod.slot_array(n, sigma[np.argwhere(slot)], slot.ndim)
+            for slot in slots0], fbig
 
 
 def _suite_regularization_ui(seed) -> list[Claim]:
@@ -602,7 +594,7 @@ def _suite_rc_unary(seed) -> list[Claim]:
         return evaluate(m, phi, {}, quantifiers=reg) == (len(rel) in splus1)
 
     subsets = (((n, mask), n, _mask_rel(mask, n))
-               for n in range(1, 9) for mask in _masks(n))
+               for n in range(1, 9) for mask in range(1 << n))
     claims += _first_failures(subsets, (
         "the same check through formula evaluation, exhaustive for n <= 8",
         "n,mask", by_formula))
@@ -659,7 +651,7 @@ def _suite_divmod_interdef(seed) -> list[Claim]:
 
     def verdicts():
         for n in DIVMOD_NS:
-            masks = (_masks(n) if n <= DIVMOD_FULL_N else
+            masks = (range(1 << n) if n <= DIVMOD_FULL_N else
                      [rng.randrange(1 << n) for _ in range(DIVMOD_SAMPLES)])
             for mask in masks:
                 model = BrModel(n, {"U": 1}, {"U": set(_mask_rel(mask, n))},
@@ -778,7 +770,7 @@ def _suite_median_trick(seed) -> list[Claim]:
     def mismatches():
         # one case per n: every (U, V) at once; where names its first miss
         for n, v in verdicts.items():
-            pc = np.array([bin(w).count("1") for w in _masks(n)])
+            pc = np.array([bin(w).count("1") for w in range(1 << n)])
             wrong = np.argwhere(v != (pc[:, None] == pc[None, :]))
             yield (n, *map(int, wrong[0])) if len(wrong) else n, wrong
 
@@ -789,7 +781,7 @@ def _suite_median_trick(seed) -> list[Claim]:
     def mask_pairs():
         for n in MEDIAN_NS:
             if n <= MEDIAN_FULL_N:
-                pairs = itertools.product(_masks(n), repeat=2)
+                pairs = itertools.product(range(1 << n), repeat=2)
             else:
                 pairs = [(rng.randrange(1 << n), rng.randrange(1 << n))
                          for _ in range(MEDIAN_SAMPLES)]

@@ -216,11 +216,6 @@ def _join(phi: Formula, children) -> Formula:
     return type(phi)(*scalars, *children)
 
 
-def free_variables(phi: Formula) -> set[str]:
-    """Free first-order variables."""
-    return set(phi.free)
-
-
 _BINDERS = (Exists, Forall, Count, QApp, SetExists, SetForall)
 
 

@@ -15,7 +15,7 @@ from typing import Optional
 
 from .syntax import (And, Atom, BuiltinAtom, Count, Eq, Exists, Forall,
                      Formula, Iff, Imp, Not, Or, QApp, SetAtom, SetExists,
-                     SetForall, _join, conj, free_variables)
+                     SetForall, _join, conj)
 
 
 class _Names:
@@ -130,7 +130,7 @@ def relativize_formula(phi: Formula, guard: Formula, var: str,
     generalized quantifiers are universe independent; a registry with
     flags turns violations into errors.
     """
-    if free_variables(guard) - {var}:
+    if set(guard.free) - {var}:
         raise ValueError("guard may use only the designated variable")
     names = _Names("r", [phi, guard])
 

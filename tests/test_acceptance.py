@@ -1,10 +1,32 @@
 """The acceptance gate: one test per numbered criterion.  Each runs the
 matching verification suite, prints a single pass/fail line with the
-elapsed time, and enforces the time budget."""
+elapsed time, and enforces the time budget.  Each suite must also print
+the lines pinned in `check_all.txt` (the output of `fmlab check all`),
+once the `  (N cases, T s)` suffix that varies from run to run is
+stripped."""
 
+import pathlib
+import re
 import time
 
 from fmlab.suites import run_suite
+
+_TIMING = re.compile(r"  \(\d+ cases, [\d.]+ s\)$")
+
+
+def _pinned_blocks() -> dict:
+    """check_all.txt's lines per suite, keyed by suite name."""
+    blocks = {}
+    for line in (pathlib.Path(__file__).parent / "check_all.txt"
+                 ).read_text().splitlines():
+        if line.startswith("suite "):
+            block = blocks.setdefault(line.split()[1], [])
+        if line.startswith(("suite ", "  ")):
+            block.append(line)
+    return blocks
+
+
+PINNED = _pinned_blocks()
 
 CRITERIA = [
     # (number, suite name, time budget in seconds)
@@ -35,6 +57,7 @@ def _run(number, name, budget):
     print(f"criterion-{number:02d} {name}: {verdict} "
           f"({elapsed:.2f}s / {budget}s)")
     assert elapsed < budget, f"{name} exceeded {budget}s ({elapsed:.2f}s)"
+    assert [_TIMING.sub("", line) for line in report.lines()] == PINNED[name]
     assert report.ok, "\n".join(report.lines())
 
 

@@ -7,9 +7,10 @@ from hypothesis import given, settings, strategies as st
 
 from fmlab import arithx, sets
 from fmlab.arithx import (check_extension_hypothesis, choose_seed,
-                          default_rounds, extension_trace, mu_relation,
-                          mu_relation_oracle, mu_step, nu_from_set,
-                          seed_multiplication, synthesize_multiplication)
+                          default_rounds, extension_trace, mu_relation_oracle,
+                          mu_step, nu_from_set, seed_multiplication,
+                          synthesize_multiplication)
+from fmlab.evaluator import BudgetExceeded
 from fmlab.model import PartialArithModel, full_multiplication, zero_rows
 
 
@@ -23,8 +24,8 @@ def random_pm(rng, n, p=0.5, with_zero=True):
 
 def test_mu_formula_parses():
     phi = arithx.mu_formula()
-    from fmlab.syntax import free_variables, quantifier_rank
-    assert free_variables(phi) == {"x", "y", "z"}
+    from fmlab.syntax import quantifier_rank
+    assert phi.free == ("x", "y", "z")
     assert quantifier_rank(phi) == 8
 
 
@@ -32,7 +33,13 @@ def test_mu_formula_parses():
 @settings(max_examples=25, deadline=None)
 def test_mu_fast_path_matches_formula(n, rng):
     pm = random_pm(rng, n, p=rng.random(), with_zero=rng.random() < 0.8)
-    assert mu_relation(pm) == mu_relation_oracle(pm)
+    assert mu_step(pm).mult == mu_relation_oracle(pm)
+
+
+@pytest.mark.parametrize("n", [9, 14])
+def test_oracle_refuses_past_the_table_cap(n):
+    with pytest.raises(BudgetExceeded):
+        mu_relation_oracle(seed_multiplication(n, 2))
 
 
 def reference_half_round(n: int, mult: frozenset) -> set:
@@ -142,7 +149,7 @@ def test_nu_from_set_matches_reference_rectangle(spec, word, n, data):
 @pytest.mark.parametrize("n", [216, 512, 1000])
 def test_round_matches_reference_on_rectangle_seeds(n):
     _, pm = choose_seed(n, 3)
-    assert mu_relation(pm) == reference_mu_relation(pm)
+    assert mu_step(pm).mult == reference_mu_relation(pm)
 
 
 @given(st.integers(1, 150), st.floats(0, 1), st.booleans(),
@@ -150,7 +157,7 @@ def test_round_matches_reference_on_rectangle_seeds(n):
 @settings(max_examples=30, deadline=None)
 def test_round_matches_reference_on_random_models(n, p, with_zero, rng):
     pm = random_pm(rng, n, p=p * p, with_zero=with_zero)
-    assert mu_relation(pm) == reference_mu_relation(pm)
+    assert mu_step(pm).mult == reference_mu_relation(pm)
 
 
 @pytest.mark.parametrize("n, mult", [
@@ -159,7 +166,7 @@ def test_round_matches_reference_on_random_models(n, p, with_zero, rng):
 ])
 def test_round_matches_reference_at_the_edges(n, mult):
     pm = PartialArithModel(n, mult)
-    assert mu_relation(pm) == reference_mu_relation(pm)
+    assert mu_step(pm).mult == reference_mu_relation(pm)
 
 
 def test_mu_output_is_partial_multiplication():

@@ -11,7 +11,7 @@ from fmlab.evaluator import (BudgetExceeded, TruthTables, define_relation,
                              ef_equivalent, evaluate, evaluate_fast,
                              evaluate_naive)
 from fmlab.model import BrModel, word_model
-from fmlab.syntax import parse
+from fmlab.syntax import And, Atom, parse
 
 
 def fo_model(rng, n):
@@ -183,8 +183,7 @@ def test_three_engines_agree(n, which, rng):
     m = fo_model(rng, n)
     quants = QUANTS
     phi = parse(FORMULAS[which], VOCAB, Q.registry_shapes(quants))
-    from fmlab.syntax import free_variables
-    a = {v: rng.randrange(n) for v in free_variables(phi)}
+    a = {v: rng.randrange(n) for v in phi.free}
     r1 = evaluate(m, phi, a, quantifiers=quants)
     r2 = evaluate_naive(m, phi, a, quantifiers=quants)
     r3 = evaluate_fast(m, phi, a, quantifiers=quants)
@@ -337,6 +336,20 @@ def test_define_relation_permuted_order():
                          for x in range(n)
                          if evaluate_naive(m, phi, {"x": x, "z": z}))
         assert define_relation(m, phi, ("z", "w", "x")) == want
+
+
+@pytest.mark.parametrize("holds", [True, False])
+def test_nullary_relation(holds):
+    m = BrModel(3, {"Z": 0, "U": 1}, {"Z": [()] if holds else [],
+                                      "U": [(1,)]})
+    z = Atom("Z", ())
+    both = And(z, Atom("U", ("x",)))
+    for engine in (evaluate, evaluate_naive, evaluate_fast):
+        assert engine(m, z, {}) == holds
+        assert [engine(m, both, {"x": x}) for x in range(3)] == [
+            False, holds, False]
+    assert define_relation(m, z, ()) == ({()} if holds else set())
+    assert define_relation(m, both, ("x",)) == ({(1,)} if holds else set())
 
 
 def test_sentence_defined_quantifier():

@@ -1,4 +1,3 @@
-import itertools
 import random
 import re
 
@@ -6,10 +5,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fmlab.model import (BrModel, PartialArithModel, br_isomorphic,
-                         builtin_registry, full_multiplication, parse_model,
-                         format_model, powerset_structure, relativize,
-                         word_model, zero_rows)
+from fmlab.model import (BrModel, PartialArithModel, builtin_registry,
+                         full_multiplication, parse_model, format_model,
+                         powerset_structure, relativize, word_model,
+                         zero_rows)
 
 
 def perms(n):
@@ -91,28 +90,6 @@ def test_relativize_twice_is_identity():
         sub, _ = relativize(m, u)
         again, idx = relativize(sub, range(sub.n))
         assert again == sub and idx == {i: i for i in range(sub.n)}
-
-
-def test_br_isomorphic_examples():
-    w = word_model("ab")
-    assert br_isomorphic(w, w)
-    # same letters, elements permuted, f adjusted to compensate
-    m2 = BrModel(2, {"P_a": 1, "P_b": 1},
-                 {"P_a": {(1,)}, "P_b": {(0,)}}, f=[1, 0])
-    assert br_isomorphic(w, m2)
-    assert not br_isomorphic(w, word_model("aa", alphabet="ab"))
-
-
-def test_br_isomorphic_is_equivalence():
-    rng = random.Random(11)
-    models = [random_model(rng, 5) for _ in range(12)]
-    for m in models:
-        assert br_isomorphic(m, m)
-    for m1, m2 in itertools.combinations(models, 2):
-        assert br_isomorphic(m1, m2) == br_isomorphic(m2, m1)
-    for m1, m2, m3 in itertools.combinations(models, 3):
-        if br_isomorphic(m1, m2) and br_isomorphic(m2, m3):
-            assert br_isomorphic(m1, m3)
 
 
 def test_word_model():

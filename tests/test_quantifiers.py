@@ -19,6 +19,8 @@ def test_slot_array():
     assert slot_array(2, [(0, 1)], 2).tolist() == [[False, True],
                                                     [False, False]]
     assert not slot_array(2, [], 2).any()
+    assert slot_array(3, [()], 0).shape == ()
+    assert slot_array(3, [()], 0) and not slot_array(3, [], 0)
 
 
 def test_cardinality_examples():

@@ -10,8 +10,7 @@ from fmlab.randform import random_formula
 from fmlab.syntax import (MAX_DEPTH, And, Atom, BuiltinAtom, Count, Eq,
                           Exists, Forall, Iff, Imp, Not, Or,
                           ParseError, QApp, SetAtom, SetExists, SetForall,
-                          conj, free_variables,
-                          parse, pretty, quantifier_rank, subformulas)
+                          conj, parse, pretty, quantifier_rank, subformulas)
 
 V = {"P": 1, "R": 2, "S": 3}
 QS = {"I": [1, 1], "Maj": [1], "Q3": [1, 2]}
@@ -130,8 +129,8 @@ def test_vocab_errors():
 def test_measures():
     phi = parse("E x. A y. (R(x, y) | # z = x. P(z))", V)
     assert quantifier_rank(phi) == 3
-    assert free_variables(phi) == set()
-    assert free_variables(parse("R(x, y) & E y. P(y)", V)) == {"x", "y"}
+    assert phi.free == ()
+    assert parse("R(x, y) & E y. P(y)", V).free == ("x", "y")
     assert sum(1 for _ in subformulas(phi)) == 6
     twice = parse("(E x. P(x)) & (E x. P(x))", V)
     assert twice.left is twice.right

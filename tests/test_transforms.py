@@ -7,7 +7,7 @@ from fmlab import quantifiers as Q
 from fmlab.evaluator import define_relation, evaluate, evaluate_naive
 from fmlab.model import BrModel, powerset_structure, relativize, word_model
 from fmlab.randform import FormulaGen, random_formula
-from fmlab.syntax import (Exists, Forall, Not, free_variables, parse, pretty)
+from fmlab.syntax import (Exists, Forall, Not, parse, pretty)
 from fmlab.transforms import (_Names, mso_translate, relativize_formula,
                               rename_free, substitute)
 
@@ -59,7 +59,7 @@ def test_substitution_matches_defined_relation(n, depth, rng):
     subbed = substitute(phi, {"S": (("p", "q"), body)})
     s_ext = define_relation(m, body, ("p", "q"))
     m_with_s = m.with_relations({"S": s_ext}, {"S": 2})
-    a = {v: rng.randrange(n) for v in free_variables(phi)}
+    a = {v: rng.randrange(n) for v in phi.free}
     assert evaluate(m, subbed, a) == evaluate(m_with_s, phi, a)
 
 
