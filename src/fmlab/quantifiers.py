@@ -5,7 +5,8 @@ regularize / lift-over-order / powerset constructions."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import isqrt
+from itertools import product
+from math import isqrt, prod
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -79,21 +80,32 @@ def _counting(name: str, arities: tuple, sizes_decide: Callable,
               **flags) -> Quantifier:
     """A quantifier whose verdict depends only on its slots' sizes:
     `decide` sums each slot over its slot axes and applies `sizes_decide`
-    once per distinct size tuple in the batch."""
+    once per distinct size tuple: one plain call for one structure.  A
+    batch marks its size tuples in a bool table of every size tuple, the
+    product of n^arity + 1 over the slots, decides each marked cell there
+    and reads the verdicts back at its keys: O(cells + keys), with no
+    sort.  A table beyond `TABLE_CAP` cells is refused before it is built."""
 
     def decide(n, slots, f):
+        if np.ndim(f) == 1 and tuple(map(np.ndim, slots)) == arities:
+            sizes = tuple(map(np.count_nonzero, slots))
+            return np.bool_(sizes_decide(n, sizes))
         # the sizes as one key, slot by slot in base n^arity + 1, over the
         # batch axes of the slots and of f
         dims = tuple(n ** a + 1 for a in arities)
         key = np.zeros(np.shape(f)[:-1], dtype=np.int64)
         for s, a, d in zip(slots, arities, dims):
             key = key * d + np.sum(s, axis=tuple(range(-a, 0)))
-        uniq, inv = np.unique(key, return_inverse=True)
-        digits = np.unravel_index(uniq, dims)
-        sizes = zip(*(d.tolist() for d in digits))
-        verdict = np.array([bool(sizes_decide(n, s)) for s in sizes],
-                           dtype=bool)
-        return verdict[inv].reshape(key.shape)
+        from .evaluator import TABLE_CAP, BudgetExceeded  # a higher layer
+        if prod(dims) > TABLE_CAP:
+            raise BudgetExceeded(f"{name} at n={n} has {prod(dims)} size "
+                                 f"tuples; cap is {TABLE_CAP}")
+        table = np.zeros(prod(dims), dtype=bool)
+        table[key] = True
+        seen = np.flatnonzero(table)
+        sizes = zip(*(d.tolist() for d in np.unravel_index(seen, dims)))
+        table[seen] = [bool(sizes_decide(n, s)) for s in sizes]
+        return table[key]
 
     return Quantifier(name, arities, decide, sizes_decide=sizes_decide,
                       **flags)
@@ -196,18 +208,10 @@ def neutral_letter_extension(lang: Language, e: str) -> Language:
 
 def is_neutral_letter(lang: Language, e: str, max_len: int) -> bool:
     """Exhaustive check of uv in L <-> uev in L for |uv| < max_len."""
-    sigma = lang.alphabet
-    words = [""]
-    all_words = [""]
-    for _ in range(max_len - 1):
-        words = [w + c for w in words for c in sigma]
-        all_words.extend(words)
-    for w in all_words:
-        for cut in range(len(w) + 1):
-            u, v = w[:cut], w[cut:]
-            if (lang.member(u + v)) != (lang.member(u + e + v)):
-                return False
-    return True
+    words = ("".join(t) for k in range(max_len)
+             for t in product(lang.alphabet, repeat=k))
+    return all(lang.member(w) == lang.member(w[:cut] + e + w[cut:])
+               for w in words for cut in range(len(w) + 1))
 
 
 def parse_lang_spec(text: str) -> Language:

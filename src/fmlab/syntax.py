@@ -457,7 +457,8 @@ class Parser:
         name = self.ident()
         if self.peek() == "(":
             self.next()
-            args = self.fo_vars()
+            # `Z()` names a nullary relation
+            args = () if self.peek() == ")" else self.fo_vars()
             # with no registry, a `:` or `;` after the variables makes
             # this a quantifier application
             if (self.quants is None and name not in RESERVED

@@ -39,6 +39,15 @@ def test_eval_false_exit_code(plain_model, capsys):
     assert capsys.readouterr().out.strip() == "false"
 
 
+@pytest.mark.parametrize("body, code, out", [("()", 0, "true"),
+                                              ("", 1, "false")])
+def test_eval_nullary_relation(tmp_path, capsys, body, code, out):
+    p = tmp_path / "z.txt"
+    p.write_text(f"model\nn 3\nrel Z 0 : {body}\nend\n")
+    assert main(["eval", "--model", str(p), "--formula", "Z()"]) == code
+    assert capsys.readouterr().out.strip() == out
+
+
 @pytest.mark.parametrize("n, formula, budget", [
     (8, "E x. E y. E z. (x <= y & y <= z)", ["--budget", "3"]),
     (20, "EX X. E x. X(x)", []),

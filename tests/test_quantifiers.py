@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fmlab import quantifiers as Q, sets, syntax
+from fmlab import evaluator, quantifiers as Q, sets, syntax
 from fmlab.model import powerset_structure
 from fmlab.quantifiers import slot_array
 
@@ -192,6 +192,99 @@ def test_a_batch_decides_as_its_elements(q, n, size, seed):
     # a (size, size) batch: the slots of structure i with the f of j
     assert q.decide(n, [s[:, None] for s in slots], fs[None]).tolist() == [
         [one(s, f) for _, f in structures] for s, _ in structures]
+
+
+# -- the size step of a counting quantifier ------------------------------------
+
+COUNTING = [q for q in Q.builtin_quantifiers().values() if q.sizes_decide]
+
+
+def random_counting_batch(rng, n, arities, batch):
+    """Slots and f over `batch`: each batch axis of each slot, and of f
+    if f has batch axes at all, is 1 (and broadcasts) half the time."""
+    def own():
+        return tuple(d if rng.random() < 0.5 else 1 for d in batch)
+    slots = [rng.random(own() + (n,) * a) < rng.random() for a in arities]
+    f = np.arange(n)
+    if rng.random() < 0.5:
+        f = rng.permuted(np.broadcast_to(f, own() + (n,)), axis=-1)
+    return slots, f
+
+
+def popcounts(arities, slots, f) -> list:
+    """Each slot's popcounts, over the broadcast batch shape."""
+    counts = [np.count_nonzero(s, axis=tuple(range(-a, 0)))
+              for s, a in zip(slots, arities)]
+    shape = np.broadcast_shapes(f.shape[:-1], *map(np.shape, counts))
+    return [np.broadcast_to(c, shape) for c in counts]
+
+
+def popcount_verdicts(q, n, slots, f):
+    """`sizes_decide` of each structure's popcounts."""
+    counts = popcounts(q.slot_arities, slots, f)
+    shape = counts[0].shape
+    return np.array([q.sizes_decide(n, tuple(int(c[i]) for c in counts))
+                     for i in np.ndindex(shape)], dtype=bool).reshape(shape)
+
+
+@pytest.mark.parametrize("batch", [(), (0,), (1,), (4,), (3, 0), (2, 3)])
+@pytest.mark.parametrize("q", COUNTING, ids=lambda q: q.name)
+@given(st.integers(1, 5), st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=6, deadline=None)
+def test_counting_decide_is_sizes_decide_of_the_popcounts(q, batch, n, seed):
+    slots, f = random_counting_batch(np.random.default_rng(seed), n,
+                                     q.slot_arities, batch)
+    want = popcount_verdicts(q, n, slots, f)
+    got = q.decide(n, slots, f)
+    # at batch = () both are 0-d
+    assert got.shape == want.shape and got.dtype == bool
+    assert (got == want).all()
+
+
+def recording(arities):
+    """A counting quantifier whose size step records its calls."""
+    calls = []
+
+    def sizes_decide(n, sizes):
+        calls.append(sizes)
+        return sum(sizes) % 3 == 0
+
+    return Q._counting("Rec", arities, sizes_decide), calls
+
+
+def refuse(*args, **kwargs):
+    raise AssertionError("the size step sorted its keys")
+
+
+def test_counting_decide_calls_the_size_step_once_per_size_tuple(
+        monkeypatch):
+    # nothing may sort the keys
+    for name in ("unique", "sort", "argsort"):
+        monkeypatch.setattr(np, name, refuse)
+    rng = np.random.default_rng(7)
+    for arities in [(1,), (2,), (1, 1), (1, 2, 1)]:
+        q, calls = recording(arities)
+        for batch in [(), (0,), (1,), (5,), (3, 4), (2, 1, 6)]:
+            n = int(rng.integers(1, 5))
+            slots, f = random_counting_batch(rng, n, arities, batch)
+            counts = popcounts(arities, slots, f)
+            calls.clear()
+            q.decide(n, slots, f)
+            assert sorted(calls) == sorted(set(zip(*(
+                c.ravel().tolist() for c in counts))))
+
+
+def test_counting_table_is_capped(monkeypatch):
+    i = Q.hartig()
+    u = slot_array(4, [0, 2])
+    monkeypatch.setattr(evaluator, "TABLE_CAP", 5 ** 2 - 1)
+    with pytest.raises(evaluator.BudgetExceeded,
+                       match="I at n=4 has 25 size tuples; cap is 24"):
+        i.decide(4, [u[None], u], np.arange(4))
+    # one structure builds no table
+    assert i.decide(4, [u, u], np.arange(4))
+    monkeypatch.setattr(evaluator, "TABLE_CAP", 5 ** 2)
+    assert i.decide(4, [u[None], u], np.arange(4)).tolist() == [True]
 
 
 # -- languages ---------------------------------------------------------------

@@ -153,6 +153,21 @@ def test_pretty_parse_round_trip(vocab, quants, depth, rng):
     assert parse(pretty(phi), vocab, quants) is phi
 
 
+@pytest.mark.parametrize("vocab", [{"Z": 0, "P": 1}, None])
+def test_nullary_relation_round_trip(vocab):
+    phi = And(Atom("Z", ()), Not(Atom("P", ("x",))))
+    assert pretty(Atom("Z", ())) == "Z()"
+    assert parse(pretty(phi), vocab) is phi
+    assert parse("E x. Z ( )", vocab) is Exists("x", Atom("Z", ()))
+
+
+def test_nullary_relation_keeps_its_arity():
+    with pytest.raises(ParseError, match="Z has arity 0, got 1"):
+        parse("Z(x)", {"Z": 0})
+    with pytest.raises(ParseError, match="P has arity 1, got 0"):
+        parse("P()", {"P": 1})
+
+
 @pytest.mark.parametrize("text, vocab, quants, message", [
     # a bad character after whitespace
     ("x =  $y", None, None, "unexpected character '$' (at position 5)"),
