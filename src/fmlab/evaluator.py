@@ -1,34 +1,30 @@
-"""Formula evaluation on br-structures.
+"""Formula evaluation on br-structures: two engines with one semantics,
+and `ef_equivalent`, the r-round back-and-forth game.
 
-Three engines with one semantics:
-
-* `evaluate` — top-down with memoization on (subformula, values of its
-  free variables); the workhorse.
-* `evaluate_naive` — the same top-down clauses with the memo off; a check
-  on the memo keys.
+* `evaluate` — top-down, through each formula's plan: one closure per
+  node, built on first use and kept on the formula, with no model,
+  registry or memo in it.  Each plan call is one step against `budget`.
+  A leaf (an atom or an equation) runs directly; any other node is
+  memoized on (its clause, values of its free variables and free set
+  variables): the clause stands for the node without holding it.
 * `TruthTables` / `evaluate_fast` — bottom-up tables as numpy bool
   arrays with one axis per free variable; the fast path for exhaustive
   sweeps, and the independent second route.  A table of more than
   `TABLE_CAP` cells is refused before it is built.
 
-Both engines read each subformula's `kids`, `free`, `free_sets` and
-`shapes`, which a formula computes once when it is built (formulas are
-hash-consed, see `syntax.Formula`).  Every entry point makes one
-admission check, `_Engine.admit`, before it evaluates, and the clauses
-trust what it admitted.  A built-in's `holds` is its only definition:
-the top-down engine calls it on f-values, the table engine reads a unary
-one value by value and broadcasts a wider one over grids of f-values.
-A quantifier application is one `decide` call in either engine: on one
-structure top-down, and on the batch of all assignments to the
-application's free variables in the table engine.
-
-Plus `ef_equivalent`, the r-round back-and-forth game.
+Every entry point makes one admission check, `_Engine.admit`, and the
+clauses trust what it admitted.  A built-in's `holds` is its only
+definition: the top-down engine calls it on f-values, the table engine
+on each f-value or on grids of them.  A quantifier application is one
+`decide` call in either engine: on one structure top-down, and on the
+batch of all assignments to its free variables in the table engine.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import operator
 from typing import Optional
 
 import numpy as np
@@ -66,17 +62,19 @@ def _subsets(n: int):
 
 
 class _Engine:
-    """The model, the two registries and the memo of one evaluation, and
-    the one admission check that every entry point makes."""
+    """The model, the registries, the memo and the step budget of one
+    evaluation, and the one admission check that every entry point makes."""
 
-    def __init__(self, m: BrModel, builtins=None, quantifiers=None):
-        self.m = m
+    def __init__(self, m: BrModel, builtins=None, quantifiers=None,
+                 budget=None):
+        self.m, self.n = m, m.n
         self.builtins = (builtins if builtins is not None
                          else modelmod.default_builtins())
         self.quantifiers = (quantifiers if quantifiers is not None
                             else default_quantifiers())
         self.fvals = np.asarray(m.f, dtype=np.int64)
         self.memo: dict = {}
+        self.ops, self.budget = 0, float("inf") if budget is None else budget
 
     def admit(self, phi: Formula, set_assignment, assignment=None) -> dict:
         """Refuse, with ValueError, a relation, built-in or quantifier that
@@ -106,102 +104,107 @@ class _Engine:
         for v, values in given.items():
             if values is None:
                 raise ValueError(f"unassigned variable {v}")
-            if not all(0 <= x < self.m.n for x in values):
+            if not all(0 <= x < self.n for x in values):
                 raise ValueError(f"{v} is given a value outside the domain "
-                                 f"0..{self.m.n - 1}")
+                                 f"0..{self.n - 1}")
         return sa
 
 
-class _TopDown(_Engine):
-    def __init__(self, m: BrModel, builtins, quantifiers, budget):
-        super().__init__(m, builtins, quantifiers)
-        self.budget = budget
-        self.ops = 0
+def _tuple_of(names: tuple):
+    """A function from a dict to the tuple of its values at `names`."""
+    if len(names) == 1:
+        return lambda d, v=names[0]: (d[v],)
+    return operator.itemgetter(*names) if names else lambda d: ()
 
-    def decide(self, phi, assignment, set_assignment) -> bool:
-        a = dict(assignment or {})
-        return self.run(phi, a, self.admit(phi, set_assignment, a))
 
-    def run(self, phi, assignment, set_assignment) -> bool:
-        self.ops += 1
-        if self.budget is not None and self.ops > self.budget:
-            raise BudgetExceeded(f"evaluation budget of {self.budget} exhausted")
-        key = (phi, tuple([assignment[v] for v in phi.free]),
-               tuple([set_assignment[v] for v in phi.free_sets]))
-        hit = self.memo.get(key)
-        if hit is not None:
-            return hit
-        out = self._eval(phi, assignment, set_assignment)
-        self.memo[key] = out
+def _plan(phi: Formula):
+    """phi's plan, a function (engine, assignment, set assignment) -> bool;
+    built on first use, from the kids' plans, and kept on phi."""
+    if "plan" in vars(phi):
+        return phi.plan
+    clause = _clause(phi, [_plan(k) for k in phi.kids])
+    values, set_values = _tuple_of(phi.free), _tuple_of(phi.free_sets)
+    leaf = not phi.kids
+
+    def plan(eng, a, sa):
+        eng.ops += 1
+        if eng.ops > eng.budget:
+            raise BudgetExceeded(f"evaluation budget of {eng.budget} exhausted")
+        if leaf:
+            return clause(eng, a, sa)
+        key = (clause, values(a), set_values(sa))
+        out = eng.memo.get(key)
+        if out is None:
+            out = eng.memo[key] = clause(eng, a, sa)
         return out
+    return vars(phi).setdefault("plan", plan)
 
-    def _eval(self, phi, a, sa) -> bool:
-        m = self.m
-        kids = phi.kids
+
+def _points(n: int, a: dict, vs: tuple):
+    """`a` extended by each assignment to `vs`: one dict, updated in place."""
+    b = dict(a)
+    if len(vs) == 1:
+        for b[vs[0]] in range(n):
+            yield b
+    else:
+        for values in itertools.product(range(n), repeat=len(vs)):
+            b.update(zip(vs, values))
+            yield b
+
+
+_CONNECTIVES = {
+    Not: lambda sub: lambda eng, a, sa: not sub(eng, a, sa),
+    And: lambda l, r: lambda eng, a, sa: l(eng, a, sa) and r(eng, a, sa),
+    Or: lambda l, r: lambda eng, a, sa: l(eng, a, sa) or r(eng, a, sa),
+    Imp: lambda l, r: lambda eng, a, sa: not l(eng, a, sa) or r(eng, a, sa),
+    Iff: lambda l, r: lambda eng, a, sa: l(eng, a, sa) == r(eng, a, sa),
+}
+
+
+def _clause(phi: Formula, kids: list):
+    """phi's clause, with phi's constants and its kids' plans bound."""
+    if isinstance(phi, (Atom, BuiltinAtom)):
+        name, args = phi.name, _tuple_of(phi.args)
         if isinstance(phi, Atom):
-            return tuple(a[v] for v in phi.args) in m.rels[phi.name]
-        if isinstance(phi, BuiltinAtom):
-            return self.builtins[phi.name].eval_on(m, tuple(a[v] for v in phi.args))
-        if isinstance(phi, Eq):
-            return a[phi.left] == a[phi.right]
-        if isinstance(phi, SetAtom):
-            return a[phi.arg] in sa[phi.setvar]
-        if isinstance(phi, Not):
-            return not self.run(kids[0], a, sa)
-        if isinstance(phi, And):
-            return self.run(kids[0], a, sa) and self.run(kids[1], a, sa)
-        if isinstance(phi, Or):
-            return self.run(kids[0], a, sa) or self.run(kids[1], a, sa)
-        if isinstance(phi, Imp):
-            return (not self.run(kids[0], a, sa)) or self.run(kids[1], a, sa)
-        if isinstance(phi, Iff):
-            return self.run(kids[0], a, sa) == self.run(kids[1], a, sa)
-        if isinstance(phi, Exists):
-            return any(self.run(kids[0], {**a, phi.var: e}, sa)
-                       for e in range(m.n))
-        if isinstance(phi, Forall):
-            return all(self.run(kids[0], {**a, phi.var: e}, sa)
-                       for e in range(m.n))
+            return lambda eng, a, sa: args(a) in eng.m.rels[name]
+        return lambda eng, a, sa: eng.builtins[name].eval_on(eng.m, args(a))
+    if isinstance(phi, Eq):
+        return lambda eng, a, sa, x=phi.left, y=phi.right: a[x] == a[y]
+    if isinstance(phi, SetAtom):
+        return lambda eng, a, sa, x=phi.arg, s=phi.setvar: a[x] in sa[s]
+    if type(phi) in _CONNECTIVES:
+        return _CONNECTIVES[type(phi)](*kids)
+    sub = kids[0]
+    if isinstance(phi, (Exists, Forall, Count)):
+        vs = (phi.var,)
         if isinstance(phi, Count):
-            hits = sum(1 for e in range(m.n)
-                       if self.run(kids[0], {**a, phi.var: e}, sa))
-            return hits == m.f[a[phi.target]]
-        if isinstance(phi, QApp):
-            slots = [np.array(
-                [self.run(k, {**a, **dict(zip(vs, t))}, sa)
-                 for t in itertools.product(range(m.n), repeat=len(vs))],
-                dtype=bool).reshape((m.n,) * len(vs))
-                for (vs, _), k in zip(phi.slots, kids)]
-            return bool(self.quantifiers[phi.qname].decide(m.n, slots,
-                                                           self.fvals))
-        if isinstance(phi, (SetExists, SetForall)):
-            runs = (self.run(kids[0], a, {**sa, phi.setvar: s})
-                    for s in _subsets(m.n))
-            return any(runs) if isinstance(phi, SetExists) else all(runs)
-        raise TypeError(f"not a formula: {phi!r}")
+            return lambda eng, a, sa, y=phi.target: eng.m.f[a[y]] == sum(
+                sub(eng, b, sa) for b in _points(eng.n, a, vs))
+        reduce = any if isinstance(phi, Exists) else all
+        return lambda eng, a, sa: reduce(sub(eng, b, sa)
+                                         for b in _points(eng.n, a, vs))
+    if isinstance(phi, QApp):
+        qname, slots = phi.qname, list(zip([vs for vs, _ in phi.slots], kids))
 
-
-class _Naive(_TopDown):
-    """The same clauses with the memo off: every subformula is evaluated
-    afresh, so a wrong memo key shows as a disagreement."""
-
-    def run(self, phi, assignment, set_assignment) -> bool:
-        return self._eval(phi, assignment, set_assignment)
+        def decide(eng, a, sa):
+            n = eng.n
+            arrays = [np.reshape([k(eng, b, sa) for b in _points(n, a, vs)],
+                                 (n,) * len(vs)) for vs, k in slots]
+            return bool(eng.quantifiers[qname].decide(n, arrays, eng.fvals))
+        return decide
+    if isinstance(phi, (SetExists, SetForall)):
+        setvar, reduce = phi.setvar, any if isinstance(phi, SetExists) else all
+        return lambda eng, a, sa: reduce(sub(eng, a, {**sa, setvar: s})
+                                         for s in _subsets(eng.n))
+    raise TypeError(f"not a formula: {phi!r}")
 
 
 def evaluate(m: BrModel, phi: Formula, assignment: Optional[dict] = None, *,
              builtins=None, quantifiers=None, set_assignment=None,
              budget: Optional[int] = DEFAULT_BUDGET) -> bool:
-    eng = _TopDown(m, builtins, quantifiers, budget)
-    return eng.decide(phi, assignment, set_assignment)
-
-
-def evaluate_naive(m: BrModel, phi: Formula, assignment: Optional[dict] = None,
-                   *, builtins=None, quantifiers=None,
-                   set_assignment=None) -> bool:
-    """Reference evaluation: the top-down clauses with no memo."""
-    eng = _Naive(m, builtins, quantifiers, None)
-    return eng.decide(phi, assignment, set_assignment)
+    eng = _Engine(m, builtins, quantifiers, budget)
+    a = dict(assignment or {})
+    return _plan(phi)(eng, a, eng.admit(phi, set_assignment, a))
 
 
 # ---------------------------------------------------------------------------
@@ -232,10 +235,6 @@ class TruthTables(_Engine):
     of its free set variables); the key holds the formula itself, and
     equal formulas are one object, so a reused instance never mistakes one
     formula for another."""
-
-    def __init__(self, m: BrModel, builtins=None, quantifiers=None):
-        super().__init__(m, builtins, quantifiers)
-        self.n = m.n
 
     def table(self, phi: Formula, set_assignment=None) -> tuple:
         return self._table(phi, self.admit(phi, set_assignment))

@@ -1,17 +1,18 @@
 import functools
+import gc
 import itertools
 import random
+import weakref
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fmlab import evaluator, quantifiers as Q, sets
+from fmlab import evaluator, quantifiers as Q, sets, suites
 from fmlab.evaluator import (BudgetExceeded, TruthTables, define_relation,
-                             ef_equivalent, evaluate, evaluate_fast,
-                             evaluate_naive)
+                             ef_equivalent, evaluate, evaluate_fast)
 from fmlab.model import BrModel, word_model
-from fmlab.syntax import And, Atom, parse
+from fmlab.syntax import And, Atom, Exists, parse
 
 
 def fo_model(rng, n):
@@ -82,13 +83,53 @@ def test_mso_cap_and_budget():
                  parse("E x. E y. E z. (x <= y & y <= z)"), {}, budget=3)
 
 
+def _and_chain(depth: int):
+    p = Atom("U", ("x",))
+    for _ in range(depth):
+        p = And(p, p)
+    return Exists("x", p)
+
+
+@pytest.mark.parametrize("case, k", [("chain", 82), ("median", 338)])
+def test_step_count_is_pinned(case, k):
+    # every plan call is one step, a memo hit included: the chain's atom
+    # is reached along 2**40 paths but costs two steps a level, and the
+    # median formula at n = 5 costs exactly k
+    if case == "chain":
+        m = BrModel(4, {"U": 1}, {"U": {(a,) for a in range(4)}})
+        phi, quants = _and_chain(40), None
+    else:
+        m = BrModel(5, {"U": 1, "V": 1}, {"U": {(0,), (2,), (4,)},
+                                          "V": {(1,), (2,), (3,)}})
+        phi = suites._median_formula()
+        quants = {"QL1": suites._median_quantifier()}
+    assert evaluate(m, phi, {}, quantifiers=quants, budget=k)
+    with pytest.raises(BudgetExceeded, match=f"budget of {k - 1} "):
+        evaluate(m, phi, {}, quantifiers=quants, budget=k - 1)
+
+
+def test_a_plan_does_not_hold_the_model():
+    phi = parse("E x. (U(x) & Maj(y: R(x, y) | x <= y))"
+                " | (E y. # z = y. U(z)) & EX X. A x. (X(x) -> U(x))", VOCAB)
+    m = fo_model(random.Random(3), 4)
+    assert evaluate(m, phi, {}) == evaluate_fast(m, phi, {})
+    plan, dead = vars(phi)["plan"], weakref.ref(m)
+    del m
+    gc.collect()
+    assert dead() is None
+    for seed in range(6):
+        other = fo_model(random.Random(seed), 5)
+        assert evaluate(other, phi, {}) == evaluate_fast(other, phi, {})
+        assert vars(phi)["plan"] is plan
+
+
 def test_bound_set_variable_without_vocabulary():
     m = BrModel(3, {}, {})
     for vocab in (None, {}):
         assert evaluate(m, parse("EX X. E x. X(x)", vocab), {})
 
 
-@pytest.mark.parametrize("engine", [evaluate, evaluate_naive, evaluate_fast])
+@pytest.mark.parametrize("engine", [evaluate, evaluate_fast])
 def test_bound_set_variable_shadows_relation(engine):
     # inside EX U, U is the set variable; the empty set makes this true
     m = BrModel(3, {"U": 1}, {"U": {(0,)}})
@@ -179,15 +220,13 @@ QUANTS = {**Q.builtin_quantifiers(),
 @given(st.integers(1, 5), st.integers(0, len(FORMULAS) - 1),
        st.randoms(use_true_random=False))
 @settings(max_examples=120, deadline=None)
-def test_three_engines_agree(n, which, rng):
+def test_engines_agree(n, which, rng):
     m = fo_model(rng, n)
     quants = QUANTS
     phi = parse(FORMULAS[which], VOCAB, Q.registry_shapes(quants))
     a = {v: rng.randrange(n) for v in phi.free}
-    r1 = evaluate(m, phi, a, quantifiers=quants)
-    r2 = evaluate_naive(m, phi, a, quantifiers=quants)
-    r3 = evaluate_fast(m, phi, a, quantifiers=quants)
-    assert r1 == r2 == r3
+    assert (evaluate(m, phi, a, quantifiers=quants)
+            == evaluate_fast(m, phi, a, quantifiers=quants))
 
 
 @pytest.mark.parametrize("text", FORMULAS)
@@ -208,8 +247,7 @@ def test_tables_agree_at_every_assignment(text):
 def test_engines_agree_on_mso(n, rng):
     m = fo_model(rng, n)
     phi = parse("EX X. ((A x. (X(x) -> U(x))) & E x. X(x))", VOCAB)
-    assert (evaluate(m, phi, {}) == evaluate_naive(m, phi, {})
-            == evaluate_fast(m, phi, {}))
+    assert evaluate(m, phi, {}) == evaluate_fast(m, phi, {})
 
 
 def test_truth_tables_match_pointwise():
@@ -223,7 +261,7 @@ def test_truth_tables_match_pointwise():
         assert vs == ("x", "y")
         for x in range(n):
             for y in range(n):
-                want = evaluate_naive(m, phi, {"x": x, "y": y})
+                want = evaluate(m, phi, {"x": x, "y": y})
                 assert bool(bits[x, y]) == want
 
 
@@ -240,7 +278,7 @@ def test_reused_truth_tables_never_alias():
             assert vs == fresh_vs and np.array_equal(bits, fresh_bits)
 
 
-@pytest.mark.parametrize("engine", [evaluate, evaluate_naive, evaluate_fast])
+@pytest.mark.parametrize("engine", [evaluate, evaluate_fast])
 @pytest.mark.parametrize("text", ["Maj(x, y: R(x, y))", "Maj2(x: U(x))"])
 def test_slot_arity_checked_by_every_engine(engine, text):
     # parsed without shapes: a unary quantifier given a binary slot, and
@@ -252,7 +290,6 @@ def test_slot_arity_checked_by_every_engine(engine, text):
 
 @pytest.mark.parametrize("run", [
     lambda m, phi: evaluate(m, phi, {"x": 0, "y": 1}),
-    lambda m, phi: evaluate_naive(m, phi, {"x": 0, "y": 1}),
     lambda m, phi: evaluate_fast(m, phi, {"x": 0, "y": 1}),
     lambda m, phi: TruthTables(m).table(phi),
     lambda m, phi: define_relation(m, phi, ("x", "y")),
@@ -292,8 +329,6 @@ REFUSALS = [
 
 ENTRY_POINTS = {
     "evaluate": lambda phi, a, sa: evaluate(M3, phi, a, set_assignment=sa),
-    "evaluate_naive": lambda phi, a, sa: evaluate_naive(M3, phi, a,
-                                                        set_assignment=sa),
     "evaluate_fast": lambda phi, a, sa: evaluate_fast(M3, phi, a,
                                                       set_assignment=sa),
     "table": lambda phi, a, sa: TruthTables(M3).table(phi, sa),
@@ -334,7 +369,7 @@ def test_define_relation_permuted_order():
         phi = parse("R(x, z)", VOCAB)
         want = frozenset((z, w, x) for z in range(n) for w in range(n)
                          for x in range(n)
-                         if evaluate_naive(m, phi, {"x": x, "z": z}))
+                         if evaluate(m, phi, {"x": x, "z": z}))
         assert define_relation(m, phi, ("z", "w", "x")) == want
 
 
@@ -344,7 +379,7 @@ def test_nullary_relation(holds):
                                       "U": [(1,)]})
     z = Atom("Z", ())
     both = And(z, Atom("U", ("x",)))
-    for engine in (evaluate, evaluate_naive, evaluate_fast):
+    for engine in (evaluate, evaluate_fast):
         assert engine(m, z, {}) == holds
         assert [engine(m, both, {"x": x}) for x in range(3)] == [
             False, holds, False]

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fmlab import quantifiers as Q
-from fmlab.evaluator import define_relation, evaluate, evaluate_naive
+from fmlab.evaluator import define_relation, evaluate
 from fmlab.model import BrModel, powerset_structure, relativize, word_model
 from fmlab.randform import FormulaGen, random_formula
 from fmlab.syntax import (Exists, Forall, Not, parse, pretty)
