@@ -28,6 +28,13 @@ def fo_model(rng, n):
 VOCAB = {"U": 1, "R": 2}
 
 
+def evaluate_planned(m, phi, *args, **kw):
+    """`evaluate` with phi's plan built beforehand: a kept plan must not
+    skip the checks `evaluate` makes on each entry."""
+    evaluator._plan(phi)
+    return evaluate(m, phi, *args, **kw)
+
+
 def test_basic_clauses():
     m = BrModel(4, VOCAB, {"U": {(0,), (2,)}, "R": {(0, 1)}})
     ev = lambda s, **kw: evaluate(m, parse(s, VOCAB), kw)
@@ -129,7 +136,8 @@ def test_bound_set_variable_without_vocabulary():
         assert evaluate(m, parse("EX X. E x. X(x)", vocab), {})
 
 
-@pytest.mark.parametrize("engine", [evaluate, evaluate_fast])
+@pytest.mark.parametrize("engine", [evaluate, evaluate_planned,
+                                    evaluate_fast])
 def test_bound_set_variable_shadows_relation(engine):
     # inside EX U, U is the set variable; the empty set makes this true
     m = BrModel(3, {"U": 1}, {"U": {(0,)}})
@@ -278,7 +286,8 @@ def test_reused_truth_tables_never_alias():
             assert vs == fresh_vs and np.array_equal(bits, fresh_bits)
 
 
-@pytest.mark.parametrize("engine", [evaluate, evaluate_fast])
+@pytest.mark.parametrize("engine", [evaluate, evaluate_planned,
+                                    evaluate_fast])
 @pytest.mark.parametrize("text", ["Maj(x, y: R(x, y))", "Maj2(x: U(x))"])
 def test_slot_arity_checked_by_every_engine(engine, text):
     # parsed without shapes: a unary quantifier given a binary slot, and
@@ -290,6 +299,7 @@ def test_slot_arity_checked_by_every_engine(engine, text):
 
 @pytest.mark.parametrize("run", [
     lambda m, phi: evaluate(m, phi, {"x": 0, "y": 1}),
+    lambda m, phi: evaluate_planned(m, phi, {"x": 0, "y": 1}),
     lambda m, phi: evaluate_fast(m, phi, {"x": 0, "y": 1}),
     lambda m, phi: TruthTables(m).table(phi),
     lambda m, phi: define_relation(m, phi, ("x", "y")),
@@ -329,6 +339,8 @@ REFUSALS = [
 
 ENTRY_POINTS = {
     "evaluate": lambda phi, a, sa: evaluate(M3, phi, a, set_assignment=sa),
+    "evaluate_planned": lambda phi, a, sa: evaluate_planned(
+        M3, phi, a, set_assignment=sa),
     "evaluate_fast": lambda phi, a, sa: evaluate_fast(M3, phi, a,
                                                       set_assignment=sa),
     "table": lambda phi, a, sa: TruthTables(M3).table(phi, sa),
