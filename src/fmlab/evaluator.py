@@ -2,11 +2,11 @@
 and `ef_equivalent`, the r-round back-and-forth game.
 
 * `evaluate` — top-down, through each formula's plan: one closure per
-  node, built on first use and kept on the formula, with no model,
-  registry or memo in it.  Each plan call is one step against `budget`.
-  A leaf (an atom or an equation) runs directly; any other node is
-  memoized on (its clause, values of its free variables and free set
-  variables): the clause stands for the node without holding it.
+  node, built on first use from its class's entry in `_CLAUSES` and kept
+  on the formula, with no model, registry or memo in it.  Each plan call
+  is one step against `budget`.  A leaf (an atom or an equation) runs
+  directly; any other node is memoized on (its clause, values of its free
+  variables and free set variables): the clause stands for the node.
 * `TruthTables` / `evaluate_fast` — bottom-up tables as numpy bool
   arrays with one axis per free variable; the fast path for exhaustive
   sweeps, and the independent second route.  A table of more than
@@ -110,34 +110,38 @@ class _Engine:
         return sa
 
 
+def _no_values(d) -> tuple:
+    return ()
+
+
 def _tuple_of(names: tuple):
     """A function from a dict to the tuple of its values at `names`."""
     if len(names) == 1:
         return lambda d, v=names[0]: (d[v],)
-    return operator.itemgetter(*names) if names else lambda d: ()
+    return operator.itemgetter(*names) if names else _no_values
 
 
 def _plan(phi: Formula):
     """phi's plan, a function (engine, assignment, set assignment) -> bool;
     built on first use, from the kids' plans, and kept on phi."""
-    if "plan" in vars(phi):
+    if "plan" in phi.__dict__:
         return phi.plan
-    clause = _clause(phi, [_plan(k) for k in phi.kids])
-    values, set_values = _tuple_of(phi.free), _tuple_of(phi.free_sets)
-    leaf = not phi.kids
+    clause = _CLAUSES[type(phi)](phi, *[_plan(k) for k in phi.kids])
+    values = _tuple_of(phi.free) if phi.kids else None  # None: a leaf
+    sets = _tuple_of(phi.free_sets) if phi.free_sets else None
 
     def plan(eng, a, sa):
         eng.ops += 1
         if eng.ops > eng.budget:
             raise BudgetExceeded(f"evaluation budget of {eng.budget} exhausted")
-        if leaf:
+        if values is None:
             return clause(eng, a, sa)
-        key = (clause, values(a), set_values(sa))
+        key = (clause, values(a), () if sets is None else sets(sa))
         out = eng.memo.get(key)
         if out is None:
             out = eng.memo[key] = clause(eng, a, sa)
         return out
-    return vars(phi).setdefault("plan", plan)
+    return phi.__dict__.setdefault("plan", plan)
 
 
 def _points(n: int, a: dict, vs: tuple):
@@ -152,51 +156,46 @@ def _points(n: int, a: dict, vs: tuple):
             yield b
 
 
-_CONNECTIVES = {
-    Not: lambda sub: lambda eng, a, sa: not sub(eng, a, sa),
-    And: lambda l, r: lambda eng, a, sa: l(eng, a, sa) and r(eng, a, sa),
-    Or: lambda l, r: lambda eng, a, sa: l(eng, a, sa) or r(eng, a, sa),
-    Imp: lambda l, r: lambda eng, a, sa: not l(eng, a, sa) or r(eng, a, sa),
-    Iff: lambda l, r: lambda eng, a, sa: l(eng, a, sa) == r(eng, a, sa),
+def _qapp(phi: QApp, *kids):
+    qname = phi.qname
+    slots = [(vs, len(vs), k) for (vs, _), k in zip(phi.slots, kids)]
+
+    def decide(eng, a, sa):
+        n = eng.n
+        arrays = [np.array([k(eng, b, sa) for b in _points(n, a, vs)],
+                           dtype=bool).reshape((n,) * r) for vs, r, k in slots]
+        return bool(eng.quantifiers[qname].decide(n, arrays, eng.fvals))
+    return decide
+
+
+# per class: phi's clause, from phi and its kids' plans, with phi's
+# constants bound as defaults
+_CLAUSES = {
+    Atom: lambda phi: lambda eng, a, sa, r=phi.name, xs=_tuple_of(phi.args):
+        xs(a) in eng.m.rels[r],
+    BuiltinAtom: lambda phi: lambda eng, a, sa, r=phi.name,
+        xs=_tuple_of(phi.args): eng.builtins[r].eval_on(eng.m, xs(a)),
+    Eq: lambda phi: lambda eng, a, sa, x=phi.left, y=phi.right: a[x] == a[y],
+    SetAtom: lambda phi: lambda eng, a, sa, x=phi.arg, s=phi.setvar:
+        a[x] in sa[s],
+    Not: lambda phi, sub: lambda eng, a, sa: not sub(eng, a, sa),
+    And: lambda phi, l, r: lambda eng, a, sa: l(eng, a, sa) and r(eng, a, sa),
+    Or: lambda phi, l, r: lambda eng, a, sa: l(eng, a, sa) or r(eng, a, sa),
+    Imp: lambda phi, l, r: lambda eng, a, sa:
+        not l(eng, a, sa) or r(eng, a, sa),
+    Iff: lambda phi, l, r: lambda eng, a, sa: l(eng, a, sa) == r(eng, a, sa),
+    Exists: lambda phi, sub: lambda eng, a, sa, vs=(phi.var,): any(
+        sub(eng, b, sa) for b in _points(eng.n, a, vs)),
+    Forall: lambda phi, sub: lambda eng, a, sa, vs=(phi.var,): all(
+        sub(eng, b, sa) for b in _points(eng.n, a, vs)),
+    Count: lambda phi, sub: lambda eng, a, sa, vs=(phi.var,), y=phi.target:
+        eng.m.f[a[y]] == sum(sub(eng, b, sa) for b in _points(eng.n, a, vs)),
+    QApp: _qapp,
+    SetExists: lambda phi, sub: lambda eng, a, sa, s=phi.setvar: any(
+        sub(eng, a, {**sa, s: x}) for x in _subsets(eng.n)),
+    SetForall: lambda phi, sub: lambda eng, a, sa, s=phi.setvar: all(
+        sub(eng, a, {**sa, s: x}) for x in _subsets(eng.n)),
 }
-
-
-def _clause(phi: Formula, kids: list):
-    """phi's clause, with phi's constants and its kids' plans bound."""
-    if isinstance(phi, (Atom, BuiltinAtom)):
-        name, args = phi.name, _tuple_of(phi.args)
-        if isinstance(phi, Atom):
-            return lambda eng, a, sa: args(a) in eng.m.rels[name]
-        return lambda eng, a, sa: eng.builtins[name].eval_on(eng.m, args(a))
-    if isinstance(phi, Eq):
-        return lambda eng, a, sa, x=phi.left, y=phi.right: a[x] == a[y]
-    if isinstance(phi, SetAtom):
-        return lambda eng, a, sa, x=phi.arg, s=phi.setvar: a[x] in sa[s]
-    if type(phi) in _CONNECTIVES:
-        return _CONNECTIVES[type(phi)](*kids)
-    sub = kids[0]
-    if isinstance(phi, (Exists, Forall, Count)):
-        vs = (phi.var,)
-        if isinstance(phi, Count):
-            return lambda eng, a, sa, y=phi.target: eng.m.f[a[y]] == sum(
-                sub(eng, b, sa) for b in _points(eng.n, a, vs))
-        reduce = any if isinstance(phi, Exists) else all
-        return lambda eng, a, sa: reduce(sub(eng, b, sa)
-                                         for b in _points(eng.n, a, vs))
-    if isinstance(phi, QApp):
-        qname, slots = phi.qname, list(zip([vs for vs, _ in phi.slots], kids))
-
-        def decide(eng, a, sa):
-            n = eng.n
-            arrays = [np.reshape([k(eng, b, sa) for b in _points(n, a, vs)],
-                                 (n,) * len(vs)) for vs, k in slots]
-            return bool(eng.quantifiers[qname].decide(n, arrays, eng.fvals))
-        return decide
-    if isinstance(phi, (SetExists, SetForall)):
-        setvar, reduce = phi.setvar, any if isinstance(phi, SetExists) else all
-        return lambda eng, a, sa: reduce(sub(eng, a, {**sa, setvar: s})
-                                         for s in _subsets(eng.n))
-    raise TypeError(f"not a formula: {phi!r}")
 
 
 def evaluate(m: BrModel, phi: Formula, assignment: Optional[dict] = None, *,
@@ -349,7 +348,9 @@ def define_relation(m: BrModel, phi: Formula, var_order, *, builtins=None,
     _check_cells(m.n, len(var_order))
     arr = _align(tt._table(phi, sa), var_order)
     arr = np.broadcast_to(arr, (m.n,) * len(var_order))
-    return frozenset(map(tuple, np.argwhere(arr).tolist()))
+    if not var_order:  # a sentence: `np.nonzero` refuses a 0-d array
+        return frozenset({()} if arr else ())
+    return frozenset(zip(*[c.tolist() for c in np.nonzero(arr)]))
 
 
 # ---------------------------------------------------------------------------

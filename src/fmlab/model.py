@@ -82,7 +82,7 @@ class NumericalRelation:
     holds: Callable[..., bool]
 
     def eval_on(self, m: BrModel, tup: tuple) -> bool:
-        return bool(self.holds(*(m.f[a] for a in tup)))
+        return bool(self.holds(*[m.f[a] for a in tup]))
 
 
 def _bit(x: int, y: int) -> bool:

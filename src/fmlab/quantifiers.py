@@ -248,8 +248,19 @@ def language_quantifier(lang: Language) -> Quantifier:
     bad = chr(max(map(ord, lang.alphabet)) + 1)
     char = np.full(1 << k, bad)
     char[1 << np.arange(k)] = lang.alphabet
+    # one structure's letters by its slot bits, as Python bools
+    letter = {tuple(j == i for j in range(k)): c
+              for i, c in enumerate(lang.alphabet)}
 
     def decide(n, slots, f):
+        if np.ndim(f) == 1 and all(np.ndim(s) == 1 for s in slots):
+            # one structure: the word spelled in Python, one member call
+            word = [bad] * n
+            for x, bits in zip(np.asarray(f).tolist(),
+                               zip(*[s.tolist() for s in slots])):
+                word[x] = letter.get(bits, bad)
+            w = "".join(word)
+            return np.bool_(bad not in w and lang.member(w))
         # each element's key: its f-value, then its code in the low k bits;
         # f is a permutation, so the sorted keys hold the codes in f-order
         key = np.asarray(f) << k

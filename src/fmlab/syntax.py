@@ -6,6 +6,9 @@ arguments is a vocabulary relation if it is declared, otherwise a set
 variable.  Built-in atoms are written @le(x,y), @plus(x,y,z), @set:sq(x),
 with x<y / x<=y / x+y=z as sugar.  After @set: comes one name: a named
 set (sq, pow2, fact, primes, nat) or one registered with --config.
+
+Formulas are interned as they are built (see `Formula`); each node class
+has its own scope rule, `_scope`, shared by siblings such as And and Or.
 """
 
 from __future__ import annotations
@@ -13,12 +16,14 @@ from __future__ import annotations
 import functools
 import re
 import weakref
+from _weakref import _remove_dead_weakref
 from dataclasses import dataclass
 from typing import Optional
 
-# every live formula, keyed by (class, *fields)
-_TABLE: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
-# fields are set once, by Formula.__new__; equality is identity
+# every live formula by (class, *fields), as a weak reference that drops
+# its entry when the formula dies; fields are set once, by `_new`, and
+# equality is identity
+_TABLE: dict = {}
 _node = dataclass(frozen=True, eq=False, init=False)
 
 
@@ -27,29 +32,23 @@ class Formula:
     """A formula is hash-consed when it is built (Filliatre & Conchon,
     Type-Safe Modular Hash-Consing, 2006): building one structurally equal
     to a live formula returns that formula, so equality and hashing are by
-    identity.  On first construction each formula computes, once:
+    identity.  On first construction each formula computes, once, by its
+    class's scope rule `_scope` over its fields:
 
     * `kids`, its child formulas;
     * `free` and `free_sets`, its sorted free first-order and set
       variables;
     * `shapes`, the frozenset of (kind, name, arity) of the relation
       atoms, built-in atoms and quantifier applications inside it, where
-      a quantifier's arity is its tuple of slot arities."""
+      a quantifier's arity is its tuple of slot arities.
+
+    A node with one kid shares each of its kid's tuples and sets that its
+    rule leaves as they are, and a binary node unions only what differs."""
 
     def __new__(cls, *fields):
-        names = cls.__match_args__
-        if len(fields) != len(names):
-            raise TypeError(f"{cls.__name__} takes fields {names}")
-        key = (cls, *fields)
-        phi = _TABLE.get(key)
-        if phi is None:
-            phi = object.__new__(cls)
-            d = vars(phi)
-            d.update(zip(names, fields))
-            d["kids"], d["free"], d["free_sets"], d["shapes"] = \
-                phi._scope(fields)
-            _TABLE[key] = phi
-        return phi
+        if len(fields) != len(cls.__match_args__):
+            raise TypeError(f"{cls.__name__} takes fields {cls.__match_args__}")
+        return _new(cls, *fields)
 
     def __reduce__(self):
         # unpickling and copying build the formula again: the live one
@@ -58,39 +57,20 @@ class Formula:
     def _fields(self) -> tuple:
         return tuple(getattr(self, name) for name in self.__match_args__)
 
-    def _scope(self, fields) -> tuple:
-        """The binding rules: (kids, free, free_sets, shapes) from the
-        children's."""
-        if isinstance(self, (Atom, BuiltinAtom)):
-            kind = "relation" if isinstance(self, Atom) else "built-in"
-            return ((), tuple(sorted(set(self.args))), (),
-                    frozenset({(kind, self.name, len(self.args))}))
-        if isinstance(self, Eq):
-            return (), tuple(sorted({self.left, self.right})), (), frozenset()
-        if isinstance(self, SetAtom):
-            return (), (self.arg,), (self.setvar,), frozenset()
-        if isinstance(self, QApp):
-            for vs, _ in self.slots:
-                if len(set(vs)) != len(vs):
-                    raise ValueError(f"slot variables must be distinct: {vs}")
-            kids = tuple([sub for _, sub in self.slots])
-            free = _union(*[tuple([v for v in k.free if v not in vs])
-                            for (vs, _), k in zip(self.slots, kids)])
-            shape = ("quantifier", self.qname,
-                     tuple([len(vs) for vs, _ in self.slots]))
-            return (kids, free, _union(*[k.free_sets for k in kids]),
-                    frozenset({shape}).union(*[k.shapes for k in kids]))
-        kids = tuple([v for v in fields if isinstance(v, Formula)])
-        free = _union(*[k.free for k in kids])
-        free_sets = _union(*[k.free_sets for k in kids])
-        if isinstance(self, (Exists, Forall, Count)):
-            free = tuple([v for v in free if v != self.var])
-        if isinstance(self, Count):
-            free = _union(free, (self.target,))
-        if isinstance(self, (SetExists, SetForall)):
-            free_sets = tuple([v for v in free_sets if v != self.setvar])
-        first, *rest = [k.shapes for k in kids]
-        return kids, free, free_sets, first.union(*rest)
+
+def _new(cls, *fields):
+    """cls(*fields) without the field count: the parser's constructor."""
+    key = (cls, *fields)
+    ref = _TABLE.get(key)
+    phi = None if ref is None else ref()
+    if phi is None:
+        phi = object.__new__(cls)
+        d = phi.__dict__
+        d.update(zip(cls.__match_args__, fields))
+        d["kids"], d["free"], d["free_sets"], d["shapes"] = cls._scope(*fields)
+        _TABLE[key] = weakref.ref(
+            phi, lambda _, key=key: _remove_dead_weakref(_TABLE, key))
+    return phi
 
 
 def _union(*parts) -> tuple:
@@ -102,16 +82,34 @@ def _union(*parts) -> tuple:
     return out
 
 
+def _drop(names: tuple, name: str) -> tuple:
+    return tuple([v for v in names if v != name]) if name in names else names
+
+
+def _kinds(base: type, *names: str) -> list:
+    """Node classes, one per name, that share base's fields and scope."""
+    return [type(name, (base,), {"__module__": __name__}) for name in names]
+
+
+def _applied(kind: str):
+    """The scope rule of an atom applying a name to variables."""
+    return staticmethod(lambda name, args: (
+        (), args if len(args) < 2 else tuple(sorted(set(args))), (),
+        frozenset({(kind, name, len(args))})))
+
+
 @_node
 class Atom(Formula):
     name: str
     args: tuple
+    _scope = _applied("relation")
 
 
 @_node
 class BuiltinAtom(Formula):
     name: str
     args: tuple
+    _scope = _applied("built-in")
 
 
 @_node
@@ -119,52 +117,54 @@ class Eq(Formula):
     left: str
     right: str
 
+    _scope = staticmethod(lambda left, right: (
+        (), tuple(sorted({left, right})), (), frozenset()))
+
 
 @_node
 class SetAtom(Formula):
     setvar: str
     arg: str
 
+    _scope = staticmethod(lambda setvar, arg: (
+        (), (arg,), (setvar,), frozenset()))
+
 
 @_node
 class Not(Formula):
     sub: Formula
 
+    _scope = staticmethod(lambda sub: (
+        (sub,), sub.free, sub.free_sets, sub.shapes))
+
 
 @_node
-class And(Formula):
+class _Binary(Formula):
     left: Formula
     right: Formula
 
-
-@_node
-class Or(Formula):
-    left: Formula
-    right: Formula
-
-
-@_node
-class Imp(Formula):
-    left: Formula
-    right: Formula
+    @staticmethod
+    def _scope(left, right):
+        shapes = left.shapes
+        if right.shapes is not shapes:
+            shapes = shapes | right.shapes
+        return ((left, right), _union(left.free, right.free),
+                _union(left.free_sets, right.free_sets), shapes)
 
 
-@_node
-class Iff(Formula):
-    left: Formula
-    right: Formula
+And, Or, Imp, Iff = _kinds(_Binary, "And", "Or", "Imp", "Iff")
 
 
 @_node
-class Exists(Formula):
+class _Binder(Formula):
     var: str
     sub: Formula
 
+    _scope = staticmethod(lambda var, sub: (
+        (sub,), _drop(sub.free, var), sub.free_sets, sub.shapes))
 
-@_node
-class Forall(Formula):
-    var: str
-    sub: Formula
+
+Exists, Forall = _kinds(_Binder, "Exists", "Forall")
 
 
 @_node
@@ -174,6 +174,10 @@ class Count(Formula):
     target: str
     sub: Formula
 
+    _scope = staticmethod(lambda var, target, sub: (
+        (sub,), _union(_drop(sub.free, var), (target,)), sub.free_sets,
+        sub.shapes))
+
 
 @_node
 class QApp(Formula):
@@ -182,17 +186,29 @@ class QApp(Formula):
     qname: str
     slots: tuple  # of (vars tuple, Formula)
 
+    @staticmethod
+    def _scope(qname, slots):
+        for vs, _ in slots:
+            if len(set(vs)) != len(vs):
+                raise ValueError(f"slot variables must be distinct: {vs}")
+        kids = tuple([sub for _, sub in slots])
+        free = _union(*[tuple([v for v in k.free if v not in vs])
+                        for vs, k in slots])
+        shape = ("quantifier", qname, tuple([len(vs) for vs, _ in slots]))
+        return (kids, free, _union(*[k.free_sets for k in kids]),
+                frozenset({shape}).union(*[k.shapes for k in kids]))
+
 
 @_node
-class SetExists(Formula):
+class _SetBinder(Formula):
     setvar: str
     sub: Formula
 
+    _scope = staticmethod(lambda setvar, sub: (
+        (sub,), sub.free, _drop(sub.free_sets, setvar), sub.shapes))
 
-@_node
-class SetForall(Formula):
-    setvar: str
-    sub: Formula
+
+SetExists, SetForall = _kinds(_SetBinder, "SetExists", "SetForall")
 
 
 def conj(parts):
@@ -259,13 +275,17 @@ def tokenize(text: str) -> list[str]:
     return toks
 
 
-RESERVED = {"E", "A", "EX", "AX"}
+# the reserved names, the binders: token -> class
+RESERVED = {"E": Exists, "A": Forall, "EX": SetExists, "AX": SetForall}
+_BINDER_TOKEN = {cls: tok for tok, cls in RESERVED.items()}
 
 # binary connectives, loosest first: token -> (class, precedence level);
 # a negation or a binder binds tighter than all of them
 _BINARY = {"<->": (Iff, 0), "->": (Imp, 1), "|": (Or, 2), "&": (And, 3)}
 _TOKEN = {cls: (tok, level) for tok, (cls, level) in _BINARY.items()}
 _LEVEL_NEG = len(_BINARY)
+# comparison sugar: x<y and x<=y
+_SUGAR = {"<": "lt", "<=": "le"}
 
 # nesting levels (negations, binders, parentheses) a formula may have
 MAX_DEPTH = 100
@@ -274,24 +294,18 @@ MAX_DEPTH = 100
 class Parser:
     """Recursive-descent parser.  `vocab` maps relation names to arities
     (None accepts any name); `quants` maps quantifier names to their slot
-    arity lists (None accepts any shape)."""
+    arity lists (None accepts any shape).  It reads the token `toks[i]`
+    and advances `i`."""
 
     def __init__(self, text: str, vocab: Optional[dict] = None,
                  quants: Optional[dict] = None):
         self.text = text
         self.toks = tokenize(text) + ["<eof>"]
-        self.i = 0
-        self.vocab = vocab
-        self.quants = quants
-        self.depth = 0
-        self.set_scope: list[str] = []  # set variables bound by EX/AX
-
-    def peek(self):
-        return self.toks[self.i]
-
-    def next(self):
-        self.i += 1
-        return self.toks[self.i - 1]
+        self.names = set(filter(IDENT_RE.fullmatch, set(self.toks)))
+        self.fo_names = {v for v in self.names if not is_set_var(v)}
+        self.i = self.depth = 0  # the current token; the nesting depth
+        self.vocab, self.quants = vocab, quants
+        self.set_scope: list = []  # variables bound by EX/AX; None by E/A
 
     def error(self, msg: str) -> ParseError:
         """A ParseError at the current token; token positions are found
@@ -300,27 +314,31 @@ class Parser:
         return ParseError(msg, [*starts, len(self.text)][self.i])
 
     def expect(self, tok):
-        if self.peek() != tok:
-            raise self.error(f"expected {tok!r}, found {self.peek()!r}")
-        return self.next()
+        found = self.toks[self.i]
+        if found != tok:
+            raise self.error(f"expected {tok!r}, found {found!r}")
+        self.i += 1
 
     def ident(self):
-        tok = self.peek()
-        if not IDENT_RE.fullmatch(tok):
+        tok = self.toks[self.i]
+        if tok not in self.names:
             raise self.error(f"expected a name, found {tok!r}")
-        return self.next()
+        self.i += 1
+        return tok
 
     def fo_var(self):
+        v = self.toks[self.i]
+        if v in self.fo_names:
+            self.i += 1
+            return v
         v = self.ident()
-        if is_set_var(v):
-            raise self.error(f"{v!r} is not a first-order variable")
-        return v
+        raise self.error(f"{v!r} is not a first-order variable")
 
     def fo_vars(self) -> tuple:
         """A comma-separated list of first-order variables."""
         out = [self.fo_var()]
-        while self.peek() == ",":
-            self.next()
+        while self.toks[self.i] == ",":
+            self.i += 1
             out.append(self.fo_var())
         return tuple(out)
 
@@ -328,97 +346,91 @@ class Parser:
         """Binary connectives of at least `level` (see `_BINARY`), by
         precedence climbing; each associates to the left."""
         out = self.neg()
-        while self.peek() in _BINARY and _BINARY[self.peek()][1] >= level:
-            cls, own = _BINARY[self.next()]
-            out = cls(out, self.formula(own + 1))
+        op = _BINARY.get(self.toks[self.i])
+        while op is not None and op[1] >= level:
+            self.i += 1
+            out = _new(op[0], out, self.formula(op[1] + 1))
+            op = _BINARY.get(self.toks[self.i])
         return out
 
     def neg(self) -> Formula:
-        # every nesting level passes through here
+        """A negation, a binder or a quantifier application, or else a
+        primary formula; every nesting level passes through here."""
         self.depth += 1
         if self.depth > MAX_DEPTH:
             raise self.error(f"formula nested deeper than {MAX_DEPTH}")
-        if self.peek() == "!":
-            self.next()
-            out = Not(self.neg())
-        else:
-            out = self.quant_or_prim()
-        self.depth -= 1
-        return out
-
-    def quant_or_prim(self) -> Formula:
-        tok = self.peek()
-        if tok == "#":
-            self.next()
+        tok = self.toks[self.i]
+        if tok == "!":
+            self.i += 1
+            out = _new(Not, self.neg())
+        elif tok == "#":
+            self.i += 1
             var = self.fo_var()
             self.expect("=")
             target = self.fo_var()
             self.expect(".")
-            return Count(var, target, self.neg())
+            out = _new(Count, var, target, self.neg())
         # `E(`/`A(` is a relation atom: a binder always takes a bare variable
-        if tok in ("E", "A") and self.toks[self.i + 1] != "(":
-            self.next()
-            var = self.fo_var()
+        elif tok in RESERVED and self.toks[self.i + 1] != "(":
+            self.i += 1
+            sets = len(tok) == 2  # EX, AX
+            var = self.ident() if sets else self.fo_var()
+            if sets and not is_set_var(var):
+                raise self.error(f"{var!r} is not a set variable")
             self.expect(".")
-            body = self.neg()
-            return Exists(var, body) if tok == "E" else Forall(var, body)
-        if tok in ("EX", "AX") and self.toks[self.i + 1] != "(":
-            self.next()
-            sv = self.ident()
-            if not is_set_var(sv):
-                raise self.error(f"{sv!r} is not a set variable")
-            self.expect(".")
-            self.set_scope.append(sv)
-            body = self.neg()
+            self.set_scope.append(var if sets else None)
+            out = _new(RESERVED[tok], var, self.neg())
             self.set_scope.pop()
-            return SetExists(sv, body) if tok == "EX" else SetForall(sv, body)
-        if self.quants is not None and tok in self.quants:
-            return self.qapp(self.next())
-        if (self.quants is None and IDENT_RE.fullmatch(tok)
-                and tok not in RESERVED and self._sugar_follows()):
-            return self.qapp(self.next())
-        return self.prim()
+        elif (tok in self.quants if self.quants is not None else
+              tok in self.names and tok not in RESERVED
+              and self._sugar_follows()):
+            self.i += 1
+            out = self.qapp(tok)
+        else:
+            out = self.prim()
+        self.depth -= 1
+        return out
 
     def _sugar_follows(self) -> bool:
         # with no registry, `Q x, y.` (names and commas, then a dot) is an
         # application; `Q(` is told from `R(` in `prim`
         j = self.i + 1
-        while IDENT_RE.fullmatch(self.toks[j]) or self.toks[j] == ",":
+        while self.toks[j] in self.names or self.toks[j] == ",":
             j += 1
         return self.toks[j] == "."
 
     def qapp(self, qname: str) -> Formula:
-        if self.peek() == "(":
-            self.next()
+        if self.toks[self.i] == "(":
+            self.i += 1
             return self.explicit_qapp(qname, self.fo_vars())
         vars_ = self.fo_vars()
         self.expect(".")
-        return self.check_qapp(QApp(qname, self.sugared_slots(qname, vars_)))
+        return self.check_qapp(_new(QApp, qname,
+                                    self.sugared_slots(qname, vars_)))
 
     def explicit_qapp(self, qname: str, vars_: tuple) -> Formula:
         """The rest of `qname(x, y: phi; z: psi)` once `qname(x, y` is
         read."""
         slots = [self.slot(vars_)]
-        while self.peek() == ";":
-            self.next()
+        while self.toks[self.i] == ";":
+            self.i += 1
             slots.append(self.slot(self.fo_vars()))
         self.expect(")")
-        return self.check_qapp(QApp(qname, tuple(slots)))
+        return self.check_qapp(_new(QApp, qname, tuple(slots)))
 
     def slot(self, vars_: tuple):
         self.expect(":")
         return (vars_, self.formula())
 
     def sugared_slots(self, qname, vars_) -> tuple:
-        # `Q x,y. (phi; psi)` distributes one variable per slot;
-        # `Q x,y. phi` and `Q x,y. (phi)` are a single slot binding the
-        # whole tuple.
-        if self.peek() != "(":
+        # `Q x,y. (phi; psi)` distributes one variable per slot; `Q x,y.
+        # phi` and `Q x,y. (phi)` are one slot binding the whole tuple.
+        if self.toks[self.i] != "(":
             return ((vars_, self.neg()),)
-        self.next()
+        self.i += 1
         bodies = [self.formula()]
-        while self.peek() == ";":
-            self.next()
+        while self.toks[self.i] == ";":
+            self.i += 1
             bodies.append(self.formula())
         self.expect(")")
         if len(bodies) == 1:
@@ -429,40 +441,38 @@ class Parser:
         return tuple(((v,), b) for v, b in zip(vars_, bodies))
 
     def check_qapp(self, phi: QApp) -> QApp:
-        if self.quants is not None:
-            shape = self.quants[phi.qname]
-            got = [len(vs) for vs, _ in phi.slots]
-            if got != list(shape):
-                raise self.error(f"{phi.qname} expects slot arities "
-                                 f"{list(shape)}, got {got}")
+        got = [len(vs) for vs, _ in phi.slots]
+        if self.quants is not None and got != list(self.quants[phi.qname]):
+            raise self.error(f"{phi.qname} expects slot arities "
+                             f"{list(self.quants[phi.qname])}, got {got}")
         return phi
 
     def prim(self) -> Formula:
-        tok = self.peek()
+        tok = self.toks[self.i]
         if tok == "(":
-            self.next()
+            self.i += 1
             out = self.formula()
             self.expect(")")
             return out
         if tok == "@":
-            self.next()
+            self.i += 1
             name = self.ident()
-            if self.peek() == ":":
-                self.next()
+            if self.toks[self.i] == ":":
+                self.i += 1
                 name = name + ":" + self.ident()
             self.expect("(")
             args = self.fo_vars()
             self.expect(")")
-            return BuiltinAtom(name, args)
+            return _new(BuiltinAtom, name, args)
         name = self.ident()
-        if self.peek() == "(":
-            self.next()
+        if self.toks[self.i] == "(":
+            self.i += 1
             # `Z()` names a nullary relation
-            args = () if self.peek() == ")" else self.fo_vars()
+            args = () if self.toks[self.i] == ")" else self.fo_vars()
             # with no registry, a `:` or `;` after the variables makes
             # this a quantifier application
             if (self.quants is None and name not in RESERVED
-                    and self.peek() in (":", ";")):
+                    and self.toks[self.i] in (":", ";")):
                 return self.explicit_qapp(name, args)
             self.expect(")")
             # a set variable bound by an enclosing EX/AX shadows a
@@ -472,35 +482,32 @@ class Parser:
                 if len(args) != self.vocab[name]:
                     raise self.error(f"{name} has arity {self.vocab[name]}, "
                                      f"got {len(args)}")
-                return Atom(name, args)
+                return _new(Atom, name, args)
             if bound or (is_set_var(name) and self.vocab is not None):
                 if len(args) != 1:
                     raise self.error(f"set variable {name} applied to "
                                      f"{len(args)} arguments")
-                return SetAtom(name, args[0])
+                return _new(SetAtom, name, args[0])
             if self.vocab is None:
                 # without a vocabulary every other application is read as
                 # a relation atom
-                return Atom(name, args)
+                return _new(Atom, name, args)
             raise self.error(f"unknown relation {name!r}")
         # variable-led sugar: x=y, x<y, x<=y, x+y=z
         if is_set_var(name):
             raise self.error(f"unexpected set variable {name!r}")
-        nxt = self.peek()
+        nxt = self.toks[self.i]
         if nxt == "=":
-            self.next()
-            return Eq(name, self.fo_var())
-        if nxt == "<":
-            self.next()
-            return BuiltinAtom("lt", (name, self.fo_var()))
-        if nxt == "<=":
-            self.next()
-            return BuiltinAtom("le", (name, self.fo_var()))
+            self.i += 1
+            return _new(Eq, name, self.fo_var())
+        if nxt in _SUGAR:
+            self.i += 1
+            return _new(BuiltinAtom, _SUGAR[nxt], (name, self.fo_var()))
         if nxt == "+":
-            self.next()
+            self.i += 1
             second = self.fo_var()
             self.expect("=")
-            return BuiltinAtom("plus", (name, second, self.fo_var()))
+            return _new(BuiltinAtom, "plus", (name, second, self.fo_var()))
         raise self.error(f"unexpected token after {name!r}: {nxt!r}")
 
 
@@ -508,8 +515,8 @@ def parse(text: str, vocab: Optional[dict] = None,
           quants: Optional[dict] = None) -> Formula:
     p = Parser(text, vocab, quants)
     out = p.formula()
-    if p.peek() != "<eof>":
-        raise p.error(f"trailing input {p.peek()!r}")
+    if p.toks[p.i] != "<eof>":
+        raise p.error(f"trailing input {p.toks[p.i]!r}")
     return out
 
 
@@ -520,10 +527,6 @@ def parse(text: str, vocab: Optional[dict] = None,
 def pretty(phi: Formula) -> str:
     """Canonical text; parse(pretty(phi)) is phi."""
     return _pp(phi, 0)
-
-
-def _paren(text: str, need: bool) -> str:
-    return f"({text})" if need else text
 
 
 def _pp(phi: Formula, level: int) -> str:
@@ -537,20 +540,15 @@ def _pp(phi: Formula, level: int) -> str:
         return f"{phi.setvar}({phi.arg})"
     if type(phi) in _TOKEN:
         tok, own = _TOKEN[type(phi)]
-        return _paren(f"{_pp(phi.left, own)} {tok} {_pp(phi.right, own + 1)}",
-                      level > own)
+        out = f"{_pp(phi.left, own)} {tok} {_pp(phi.right, own + 1)}"
+        return f"({out})" if level > own else out
     if isinstance(phi, Not):
         return f"!{_pp(phi.sub, _LEVEL_NEG)}"
-    if isinstance(phi, Exists):
-        return f"E {phi.var}. {_pp(phi.sub, _LEVEL_NEG)}"
-    if isinstance(phi, Forall):
-        return f"A {phi.var}. {_pp(phi.sub, _LEVEL_NEG)}"
+    if type(phi) in _BINDER_TOKEN:
+        return (f"{_BINDER_TOKEN[type(phi)]} {phi._fields()[0]}. "
+                f"{_pp(phi.sub, _LEVEL_NEG)}")
     if isinstance(phi, Count):
         return f"# {phi.var} = {phi.target}. {_pp(phi.sub, _LEVEL_NEG)}"
-    if isinstance(phi, SetExists):
-        return f"EX {phi.setvar}. {_pp(phi.sub, _LEVEL_NEG)}"
-    if isinstance(phi, SetForall):
-        return f"AX {phi.setvar}. {_pp(phi.sub, _LEVEL_NEG)}"
     if isinstance(phi, QApp):
         slots = "; ".join(f"{', '.join(vs)}: {_pp(sub, 0)}"
                           for vs, sub in phi.slots)

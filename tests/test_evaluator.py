@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fmlab import evaluator, quantifiers as Q, sets, suites
+from fmlab import evaluator, quantifiers as Q, sets, suites, syntax
 from fmlab.evaluator import (BudgetExceeded, TruthTables, define_relation,
                              ef_equivalent, evaluate, evaluate_fast)
 from fmlab.model import BrModel, word_model
@@ -113,6 +113,28 @@ def test_step_count_is_pinned(case, k):
     assert evaluate(m, phi, {}, quantifiers=quants, budget=k)
     with pytest.raises(BudgetExceeded, match=f"budget of {k - 1} "):
         evaluate(m, phi, {}, quantifiers=quants, budget=k - 1)
+
+
+def test_a_compiled_formula_dies_by_reference_counting():
+    # no reference cycle runs through a formula, its plan or an
+    # evaluation: with the collector off, a formula that was compiled and
+    # evaluated still leaves the node table when its last name goes, so a
+    # fresh parse builds fresh nodes
+    m = BrModel(5, {"U": 1, "V": 1}, {"U": {(0,), (2,), (4,)},
+                                      "V": {(1,), (2,), (3,)}})
+    quants = {"QL1": suites._median_quantifier()}
+    gc.collect()
+    before = len(syntax._TABLE)
+    gc.disable()
+    try:
+        phi = suites._median_formula()
+        assert len(syntax._TABLE) > before
+        evaluator._plan(phi)
+        assert evaluate(m, phi, {}, quantifiers=quants)
+        del phi
+        assert len(syntax._TABLE) == before
+    finally:
+        gc.enable()
 
 
 def test_a_plan_does_not_hold_the_model():

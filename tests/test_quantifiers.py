@@ -343,6 +343,30 @@ def test_language_quantifier_partition_and_order():
                         np.arange(3))
 
 
+@pytest.mark.parametrize("lang", [
+    Q.lang_anbn(), Q.lang_ambmck(), Q.parse_lang_spec("neutral:e:anbn")],
+    ids=lambda lang: lang.name)
+@given(st.integers(1, 9), st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_word_quantifier_decides_one_structure_as_a_batch(lang, n, seed):
+    # each element's slots are the bits of its code: mostly one letter,
+    # else any code, a gap (no slot) and an overlap (several) included
+    rng = np.random.default_rng(seed)
+    k = len(lang.alphabet)
+    codes = np.where(rng.random(n) < 0.8, 1 << rng.integers(k, size=n),
+                     rng.integers(1 << k, size=n))
+    slots = [(codes >> i & 1).astype(bool) for i in range(k)]
+    f = rng.permutation(n)
+    q = Q.language_quantifier(lang)
+    one = q.decide(n, slots, f)
+    assert one.shape == ()
+    assert q.decide(n, [s[None] for s in slots], f[None]).tolist() == [one]
+    # the word in f-order, '?' where an element is not one letter
+    word = "".join(lang.alphabet[c.bit_length() - 1] if c and not c & c - 1
+                   else "?" for c in codes[np.argsort(f)].tolist())
+    assert one == ("?" not in word and word in lang)
+
+
 def test_neutral_letter_checks():
     assert Q.is_neutral_letter(Q.neutral_letter_extension(Q.lang_anbn(), "e"),
                                "e", 6)

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from fmlab import syntax
 from fmlab.randform import random_formula
 from fmlab.syntax import (MAX_DEPTH, And, Atom, BuiltinAtom, Count, Eq,
-                          Exists, Forall, Iff, Imp, Not, Or,
+                          Exists, Forall, Formula, Iff, Imp, Not, Or,
                           ParseError, QApp, SetAtom, SetExists, SetForall,
                           conj, parse, pretty, quantifier_rank, subformulas)
 
@@ -251,3 +251,55 @@ def test_node_table_empties_when_formulas_die():
     del phi
     gc.collect()
     assert len(syntax._TABLE) == before
+
+
+def walk(phi) -> tuple:
+    """(free, free set variables, shapes) of phi as sets, from its fields
+    alone: the binding rules written out once more."""
+    if isinstance(phi, (Atom, BuiltinAtom)):
+        kind = "relation" if isinstance(phi, Atom) else "built-in"
+        return set(phi.args), set(), {(kind, phi.name, len(phi.args))}
+    if isinstance(phi, Eq):
+        return {phi.left, phi.right}, set(), set()
+    if isinstance(phi, SetAtom):
+        return {phi.arg}, {phi.setvar}, set()
+    if isinstance(phi, QApp):
+        parts = [walk(sub) for _, sub in phi.slots]
+        shape = ("quantifier", phi.qname, tuple(len(vs) for vs, _ in phi.slots))
+        return (set().union(*[free - set(vs) for (vs, _), (free, _, _)
+                              in zip(phi.slots, parts)]),
+                set().union(*[sets for _, sets, _ in parts]),
+                {shape}.union(*[shapes for _, _, shapes in parts]))
+    kids = [v for v in phi._fields() if isinstance(v, Formula)]
+    free, sets, shapes = (set().union(*c) for c in zip(*map(walk, kids)))
+    if isinstance(phi, (Exists, Forall, Count)):
+        free -= {phi.var}
+    if isinstance(phi, Count):
+        free |= {phi.target}
+    if isinstance(phi, (SetExists, SetForall)):
+        sets -= {phi.setvar}
+    return free, sets, shapes
+
+
+@given(st.integers(0, 4), st.randoms(use_true_random=False))
+@settings(max_examples=200, deadline=None)
+def test_scope_rules_match_a_walk_over_the_fields(depth, rng):
+    # counting, quantifier applications and a nullary relation from the
+    # generator, set atoms and set binders around them, with W left free
+    vocab = {"P": 1, "R": 2, "Z": 0}
+    parts = [random_formula(rng, vocab, depth, ("x", "y"), quants=QS,
+                            builtins=("le", "lt", "plus"), allow_count=True)
+             for _ in range(2)]
+    for setvar in ("X", "Y"):
+        body = rng.choice([And, Or, Imp, Iff])(
+            rng.choice(parts), SetAtom(rng.choice("XYW"), rng.choice("xy")))
+        parts.append(rng.choice([SetExists, SetForall])(setvar, body))
+    phi = rng.choice([And, Or])(parts[-1], Not(parts[-2]))
+    for sub in subformulas(phi):
+        kids = (tuple(k for _, k in sub.slots) if isinstance(sub, QApp)
+                else tuple(v for v in sub._fields() if isinstance(v, Formula)))
+        free, sets, shapes = walk(sub)
+        assert sub.kids == kids
+        assert sub.free == tuple(sorted(free))
+        assert sub.free_sets == tuple(sorted(sets))
+        assert sub.shapes == shapes
