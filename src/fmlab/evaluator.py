@@ -1,12 +1,13 @@
 """Formula evaluation on br-structures: two engines with one semantics,
-and `ef_equivalent`, the r-round back-and-forth game.
+and `ef_equivalent`, the r-round back-and-forth game, decided by types.
 
 * `evaluate` — top-down, through each formula's plan: one closure per
-  node, built on first use from its class's entry in `_CLAUSES` and kept
-  on the formula, with no model, registry or memo in it.  Each plan call
-  is one step against `budget`.  A leaf (an atom or an equation) runs
-  directly; any other node is memoized on (its clause, values of its free
-  variables and free set variables): the clause stands for the node.
+  node, made from its class's entry in `_CLAUSES`, built on first use and
+  kept on the formula, with no model, registry or memo in it.  Each plan
+  call is one step against `budget`, in one Python frame.  A leaf (an atom
+  or an equation) runs directly; any other node is memoized on (its tag,
+  values of its free variables and free set variables): the tag, a bare
+  object, stands for the node.
 * `TruthTables` / `evaluate_fast` — bottom-up tables as numpy bool
   arrays with one axis per free variable; the fast path for exhaustive
   sweeps, and the independent second route.  A table of more than
@@ -126,22 +127,51 @@ def _plan(phi: Formula):
     built on first use, from the kids' plans, and kept on phi."""
     if "plan" in phi.__dict__:
         return phi.plan
-    clause = _CLAUSES[type(phi)](phi, *[_plan(k) for k in phi.kids])
-    values = _tuple_of(phi.free) if phi.kids else None  # None: a leaf
-    sets = _tuple_of(phi.free_sets) if phi.free_sets else None
+    memo = bool(phi.kids)  # a leaf has no memo and builds no key getters
+    plan = _maker(type(phi), memo)(
+        phi, [_plan(k) for k in phi.kids], object(),
+        _tuple_of(phi.free) if memo else None,
+        _tuple_of(phi.free_sets) if memo and phi.free_sets else None)
+    return phi.__dict__.setdefault("plan", plan)
 
+
+# A plan is one closure, so that a step is one Python frame (Feeley &
+# Lapalme 1987).  `make` runs a class's set-up once per node, over phi and
+# its kids' plans `ks`; `plan` counts the step, looks the node up in the
+# memo unless it is a leaf, and runs the clause, which sets `out` from
+# `eng`, `a` and `sa`.  A memo key names its node by `tag`, a bare
+# `object()`: no key holds a plan or a formula, and no plan holds itself.
+_STEP = """\
+def make(phi, ks, tag, values, sets):
+    {setup}
     def plan(eng, a, sa):
         eng.ops += 1
         if eng.ops > eng.budget:
-            raise BudgetExceeded(f"evaluation budget of {eng.budget} exhausted")
-        if values is None:
-            return clause(eng, a, sa)
-        key = (clause, values(a), () if sets is None else sets(sa))
-        out = eng.memo.get(key)
-        if out is None:
-            out = eng.memo[key] = clause(eng, a, sa)
+            raise BudgetExceeded(
+                f"evaluation budget of {{eng.budget}} exhausted")
+        {clause}
         return out
-    return phi.__dict__.setdefault("plan", plan)
+    return plan
+"""
+_MEMO = """
+        key = (tag, values(a), () if sets is None else sets(sa))
+        out = eng.memo.get(key)
+        if out is not None:
+            return out
+        {clause}
+        eng.memo[key] = out"""
+
+
+@functools.cache
+def _maker(cls, memo: bool):
+    """The `make` of class cls's plans, compiled from `_STEP`."""
+    setup, clause = _CLAUSES[cls]
+    if memo:
+        clause = _MEMO.format(clause=clause)
+    src = _STEP.format(setup=setup, clause=clause)
+    scope: dict = {}
+    exec(compile(src, f"<plan of {cls.__name__}>", "exec"), globals(), scope)
+    return scope["make"]
 
 
 def _points(n: int, a: dict, vs: tuple):
@@ -156,45 +186,52 @@ def _points(n: int, a: dict, vs: tuple):
             yield b
 
 
-def _qapp(phi: QApp, *kids):
-    qname = phi.qname
-    slots = [(vs, len(vs), k) for (vs, _), k in zip(phi.slots, kids)]
-
-    def decide(eng, a, sa):
-        n = eng.n
-        arrays = [np.array([k(eng, b, sa) for b in _points(n, a, vs)],
-                           dtype=bool).reshape((n,) * r) for vs, r, k in slots]
-        return bool(eng.quantifiers[qname].decide(n, arrays, eng.fvals))
-    return decide
-
-
-# per class: phi's clause, from phi and its kids' plans, with phi's
-# constants bound as defaults
+# per class: (set-up, clause), the sources `_maker` compiles; a clause of
+# more than one line starts on a new line, indented as in `_STEP`.  The
+# domain is never empty, so a binder's loop sets `out`; it stops where
+# `any` or `all` would.
 _CLAUSES = {
-    Atom: lambda phi: lambda eng, a, sa, r=phi.name, xs=_tuple_of(phi.args):
-        xs(a) in eng.m.rels[r],
-    BuiltinAtom: lambda phi: lambda eng, a, sa, r=phi.name,
-        xs=_tuple_of(phi.args): eng.builtins[r].eval_on(eng.m, xs(a)),
-    Eq: lambda phi: lambda eng, a, sa, x=phi.left, y=phi.right: a[x] == a[y],
-    SetAtom: lambda phi: lambda eng, a, sa, x=phi.arg, s=phi.setvar:
-        a[x] in sa[s],
-    Not: lambda phi, sub: lambda eng, a, sa: not sub(eng, a, sa),
-    And: lambda phi, l, r: lambda eng, a, sa: l(eng, a, sa) and r(eng, a, sa),
-    Or: lambda phi, l, r: lambda eng, a, sa: l(eng, a, sa) or r(eng, a, sa),
-    Imp: lambda phi, l, r: lambda eng, a, sa:
-        not l(eng, a, sa) or r(eng, a, sa),
-    Iff: lambda phi, l, r: lambda eng, a, sa: l(eng, a, sa) == r(eng, a, sa),
-    Exists: lambda phi, sub: lambda eng, a, sa, vs=(phi.var,): any(
-        sub(eng, b, sa) for b in _points(eng.n, a, vs)),
-    Forall: lambda phi, sub: lambda eng, a, sa, vs=(phi.var,): all(
-        sub(eng, b, sa) for b in _points(eng.n, a, vs)),
-    Count: lambda phi, sub: lambda eng, a, sa, vs=(phi.var,), y=phi.target:
-        eng.m.f[a[y]] == sum(sub(eng, b, sa) for b in _points(eng.n, a, vs)),
-    QApp: _qapp,
-    SetExists: lambda phi, sub: lambda eng, a, sa, s=phi.setvar: any(
-        sub(eng, a, {**sa, s: x}) for x in _subsets(eng.n)),
-    SetForall: lambda phi, sub: lambda eng, a, sa, s=phi.setvar: all(
-        sub(eng, a, {**sa, s: x}) for x in _subsets(eng.n)),
+    Atom: ("r, xs = phi.name, _tuple_of(phi.args)",
+           "out = xs(a) in eng.m.rels[r]"),
+    BuiltinAtom: ("r, xs = phi.name, _tuple_of(phi.args)",
+                  "out = eng.builtins[r].eval_on(eng.m, xs(a))"),
+    Eq: ("x, y = phi.left, phi.right", "out = a[x] == a[y]"),
+    SetAtom: ("x, s = phi.arg, phi.setvar", "out = a[x] in sa[s]"),
+    Not: ("k, = ks", "out = not k(eng, a, sa)"),
+    And: ("l, r = ks", "out = l(eng, a, sa) and r(eng, a, sa)"),
+    Or: ("l, r = ks", "out = l(eng, a, sa) or r(eng, a, sa)"),
+    Imp: ("l, r = ks", "out = not l(eng, a, sa) or r(eng, a, sa)"),
+    Iff: ("l, r = ks", "out = l(eng, a, sa) == r(eng, a, sa)"),
+    Exists: ("(k,), v = ks, phi.var", """
+        b = dict(a)
+        for b[v] in range(eng.n):
+            if out := k(eng, b, sa):
+                break"""),
+    Forall: ("(k,), v = ks, phi.var", """
+        b = dict(a)
+        for b[v] in range(eng.n):
+            if not (out := k(eng, b, sa)):
+                break"""),
+    Count: ("(k,), v, y = ks, phi.var, phi.target", """
+        b, c = dict(a), 0
+        for b[v] in range(eng.n):
+            c += k(eng, b, sa)
+        out = eng.m.f[a[y]] == c"""),
+    QApp: ("q, slots = phi.qname, [(vs, len(vs), k)"
+           " for (vs, _), k in zip(phi.slots, ks)]", """
+        n = eng.n
+        out = bool(eng.quantifiers[q].decide(n, [
+            np.array([k(eng, b, sa) for b in _points(n, a, vs)],
+                     dtype=bool).reshape((n,) * r) for vs, r, k in slots],
+            eng.fvals))"""),
+    SetExists: ("(k,), s = ks, phi.setvar", """
+        for x in _subsets(eng.n):
+            if out := k(eng, a, {**sa, s: x}):
+                break"""),
+    SetForall: ("(k,), s = ks, phi.setvar", """
+        for x in _subsets(eng.n):
+            if not (out := k(eng, a, {**sa, s: x})):
+                break"""),
 }
 
 
@@ -362,49 +399,36 @@ EF_MAX_ROUNDS = 4
 
 
 def ef_equivalent(m1: BrModel, m2: BrModel, rounds: int) -> bool:
-    """Whether the duplicator wins the r-round game.  The order built-in
-    `le` takes part as an ordinary relation, read through each model's
-    permutation.  A repeated pick is answered by its partner, and an
-    answer that reuses a matched element is not injective, so only moves
-    that add a pair of fresh elements matter: a position (a set of pairs)
-    reached by them is a partial isomorphism, and a fresh pair keeps it
-    one exactly when `extends` holds."""
+    """Whether the duplicator wins the r-round game: whether the two models
+    give the empty tuple one rank-r type (Libkin, *Elements of Finite Model
+    Theory*, 2004, §3.4).  A tuple's rank-r type is its atomic type and,
+    for r > 0, the set of the rank-(r-1) types of its extensions by one
+    element; types are interned to ints in one table for both models.  The
+    order built-in `le` takes part as an ordinary relation, read through
+    each model's permutation.  A repeated pick is answered by its partner,
+    and an answer that reuses a matched element is not injective, so only
+    tuples of distinct elements matter, and each adds to its prefix's
+    atomic type only what goes through its newest element."""
     if m1.arities != m2.arities:
         raise ValueError("models must share a vocabulary")
     if max(m1.n, m2.n) > EF_MAX_N:
         raise ValueError(f"game solver capped at n <= {EF_MAX_N}")
     if not 0 <= rounds <= EF_MAX_ROUNDS:
         raise ValueError(f"game solver takes 0 to {EF_MAX_ROUNDS} rounds")
-    memo: dict = {}
+    # per tuple length k: the (relation, positions) whose tuples go through
+    # position k - 1; for k = 0, the nullary relations
+    through = [[(name, c) for name, ar in sorted(m1.arities.items())
+                for c in itertools.product(range(k), repeat=ar)
+                if k == 0 or k - 1 in c] for k in range(rounds + 1)]
+    table: dict = {}
 
-    def extends(pairs, a, b) -> bool:
-        """Whether the order and every relation agree on each tuple that
-        goes through the fresh pair (a, b)."""
-        if any((m1.f[a] < m1.f[c]) != (m2.f[b] < m2.f[d]) for c, d in pairs):
-            return False
-        grown = [*pairs, (a, b)]
-        for name, ar in m1.arities.items():
-            r1, r2 = m1.rels[name], m2.rels[name]
-            for combo in itertools.product(grown, repeat=ar):
-                if (a, b) in combo and ((tuple(c for c, _ in combo) in r1)
-                                        != (tuple(d for _, d in combo) in r2)):
-                    return False
-        return True
+    def rank_type(m: BrModel, t: tuple, r: int) -> int:
+        f = m.f  # t[-1] is read only when t has a prefix to order it in
+        atoms = (tuple(f[y] < f[t[-1]] for y in t[:-1]),
+                 tuple(tuple(t[i] for i in c) in m.rels[name]
+                       for name, c in through[len(t)]))
+        key = atoms if r == 0 else (atoms, frozenset(
+            rank_type(m, t + (y,), r - 1) for y in range(m.n) if y not in t))
+        return table.setdefault(key, len(table))
 
-    def win(pairs: frozenset, r: int) -> bool:
-        key = (pairs, r)
-        if key not in memo:
-            fresh1 = sorted(set(range(m1.n)) - {c for c, _ in pairs})
-            fresh2 = sorted(set(range(m2.n)) - {d for _, d in pairs})
-
-            def answer(a, b) -> bool:
-                return extends(pairs, a, b) and win(pairs | {(a, b)}, r - 1)
-
-            memo[key] = r == 0 or (
-                all(any(answer(a, b) for b in fresh2) for a in fresh1)
-                and all(any(answer(a, b) for a in fresh1) for b in fresh2))
-        return memo[key]
-
-    # a nullary relation's one tuple goes through no pair
-    return (all(m1.rels[k] == m2.rels[k] for k, ar in m1.arities.items()
-                if ar == 0) and win(frozenset(), rounds))
+    return rank_type(m1, (), rounds) == rank_type(m2, (), rounds)

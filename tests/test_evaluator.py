@@ -97,20 +97,35 @@ def _and_chain(depth: int):
     return Exists("x", p)
 
 
-@pytest.mark.parametrize("case, k", [("chain", 82), ("median", 338)])
+EVERY_CLAUSE = ("((E x. (U(x) <-> Maj2(y, z: R(y, z) | x <= y)))"
+                " <-> (A y. # z = y. !(U(z) -> z = y)))"
+                " <-> (EX X. AX Y. E x. (X(x) & (Y(x) | @plus(x, x, x))))")
+
+
+@pytest.mark.parametrize("case, k", [("chain", 82), ("median", 338),
+                                     ("every-clause", 211)])
 def test_step_count_is_pinned(case, k):
     # every plan call is one step, a memo hit included: the chain's atom
     # is reached along 2**40 paths but costs two steps a level, and the
-    # median formula at n = 5 costs exactly k
+    # median formula at n = 5 and a false sentence that reaches every
+    # clause cost exactly k
+    want, quants = True, None
     if case == "chain":
         m = BrModel(4, {"U": 1}, {"U": {(a,) for a in range(4)}})
-        phi, quants = _and_chain(40), None
-    else:
+        phi = _and_chain(40)
+    elif case == "median":
         m = BrModel(5, {"U": 1, "V": 1}, {"U": {(0,), (2,), (4,)},
                                           "V": {(1,), (2,), (3,)}})
         phi = suites._median_formula()
         quants = {"QL1": suites._median_quantifier()}
-    assert evaluate(m, phi, {}, quantifiers=quants, budget=k)
+    else:
+        m = BrModel(4, VOCAB, {"U": {(0,), (3,)},
+                               "R": {(0, 1), (1, 2), (2, 2), (3, 0)}},
+                    [2, 0, 3, 1])
+        phi, want = parse(EVERY_CLAUSE, VOCAB), False
+        assert {type(p) for p in syntax.subformulas(phi)} == set(
+            evaluator._CLAUSES)
+    assert evaluate(m, phi, {}, quantifiers=quants, budget=k) == want
     with pytest.raises(BudgetExceeded, match=f"budget of {k - 1} "):
         evaluate(m, phi, {}, quantifiers=quants, budget=k - 1)
 
@@ -450,6 +465,26 @@ def test_ef_chain_thresholds():
     assert ef_equivalent(word_model("a" * 8), word_model("a" * 9), 3)
 
 
+def linear_order(rng, p):
+    """p points in the order of a random permutation, with unary A
+    holding everywhere."""
+    return BrModel(p, {"A": 1}, {"A": {(a,) for a in range(p)}},
+                   rng.sample(range(p), p))
+
+
+@pytest.mark.parametrize("rounds", [0, 1, 2, 3, 4])
+def test_ef_on_linear_orders_follows_the_threshold(rounds):
+    # L_p and L_q are r-equivalent iff p = q or both are >= 2^r - 1: every
+    # p, q up to 12 for r <= 3, and a few pairs at the cap corner for r = 4
+    rng = random.Random(rounds)
+    pairs = (itertools.product(range(1, 13), repeat=2) if rounds < 4
+             else [(12, 12), (11, 12), (12, 11), (10, 12), (12, 9)])
+    for p, q in pairs:
+        want = p == q or min(p, q) >= 2 ** rounds - 1
+        assert ef_equivalent(linear_order(rng, p), linear_order(rng, q),
+                             rounds) == want, (p, q)
+
+
 def test_ef_distinguishes_letters():
     # one round only compares single points; the order flip needs two
     assert ef_equivalent(word_model("ab"), word_model("ba"), 1)
@@ -500,19 +535,25 @@ def brute_ef(m1, m2, rounds) -> bool:
     return win(frozenset(), rounds)
 
 
+EF_VOCAB = {**VOCAB, "Z": 0}
+
+
 def model_pair(rng, n1, n2):
-    """Two models over U and R at one random density, sparse more often
-    than not, so that many pairs are equivalent for a few rounds; now and
-    then the second is the first with its elements renamed."""
+    """Two models over U, R and the nullary Z at one random density,
+    sparse more often than not, so that many pairs are equivalent for a
+    few rounds; now and then the second is the first with its elements
+    renamed."""
     pu, pr = rng.choice([0, 0.5, 1]), rng.choice([0, 0, 0.2])
+    pz = rng.choice([0, 1, 0.5])
 
     def draw(n):
         f = list(range(n))
         rng.shuffle(f)
-        return BrModel(n, VOCAB, {
+        return BrModel(n, EF_VOCAB, {
             "U": {(a,) for a in range(n) if rng.random() < pu},
             "R": {(a, b) for a in range(n) for b in range(n)
-                  if rng.random() < pr}}, f)
+                  if rng.random() < pr},
+            "Z": {()} if rng.random() < pz else set()}, f)
 
     m1 = draw(n1)
     if rng.random() < 0.25:
@@ -520,7 +561,7 @@ def model_pair(rng, n1, n2):
         f = [0] * n1
         for a in range(n1):
             f[p[a]] = m1.f[a]
-        return m1, BrModel(n1, VOCAB, {
+        return m1, BrModel(n1, EF_VOCAB, {
             name: {tuple(p[a] for a in t) for t in rel}
             for name, rel in m1.rels.items()}, f)
     return m1, draw(n2)
@@ -532,6 +573,11 @@ def model_pair(rng, n1, n2):
 def test_ef_matches_the_game_by_definition(n1, n2, rounds, rng):
     m1, m2 = model_pair(rng, n1, n2)
     assert ef_equivalent(m1, m2, rounds) == brute_ef(m1, m2, rounds)
+    # m1 against itself with Z flipped: they differ at rank 0
+    flipped = BrModel(n1, EF_VOCAB, {**m1.rels, "Z": {()} - m1.rels["Z"]},
+                      m1.f)
+    assert not ef_equivalent(m1, flipped, 0)
+    assert not brute_ef(m1, flipped, 0)
 
 
 def test_ef_reflexive_symmetric():
