@@ -63,11 +63,10 @@ def _subsets(n: int):
 
 
 class _Engine:
-    """The model, the registries, the memo and the step budget of one
-    evaluation, and the one admission check that every entry point makes."""
+    """The model, registries and memo of one evaluation, and the admission
+    check every entry point makes; `evaluate` adds the step budget."""
 
-    def __init__(self, m: BrModel, builtins=None, quantifiers=None,
-                 budget=None):
+    def __init__(self, m: BrModel, builtins=None, quantifiers=None):
         self.m, self.n = m, m.n
         self.builtins = (builtins if builtins is not None
                          else modelmod.default_builtins())
@@ -75,7 +74,6 @@ class _Engine:
                             else default_quantifiers())
         self.fvals = np.asarray(m.f, dtype=np.int64)
         self.memo: dict = {}
-        self.ops, self.budget = 0, float("inf") if budget is None else budget
 
     def admit(self, phi: Formula, set_assignment, assignment=None) -> dict:
         """Refuse, with ValueError, a relation, built-in or quantifier that
@@ -194,7 +192,8 @@ _CLAUSES = {
     Atom: ("r, xs = phi.name, _tuple_of(phi.args)",
            "out = xs(a) in eng.m.rels[r]"),
     BuiltinAtom: ("r, xs = phi.name, _tuple_of(phi.args)",
-                  "out = eng.builtins[r].eval_on(eng.m, xs(a))"),
+                  "out = bool(eng.builtins[r].holds("
+                  "*[eng.m.f[x] for x in xs(a)]))"),
     Eq: ("x, y = phi.left, phi.right", "out = a[x] == a[y]"),
     SetAtom: ("x, s = phi.arg, phi.setvar", "out = a[x] in sa[s]"),
     Not: ("k, = ks", "out = not k(eng, a, sa)"),
@@ -238,7 +237,8 @@ _CLAUSES = {
 def evaluate(m: BrModel, phi: Formula, assignment: Optional[dict] = None, *,
              builtins=None, quantifiers=None, set_assignment=None,
              budget: Optional[int] = DEFAULT_BUDGET) -> bool:
-    eng = _Engine(m, builtins, quantifiers, budget)
+    eng = _Engine(m, builtins, quantifiers)
+    eng.ops, eng.budget = 0, float("inf") if budget is None else budget
     a = dict(assignment or {})
     return _plan(phi)(eng, a, eng.admit(phi, set_assignment, a))
 
@@ -348,9 +348,8 @@ class TruthTables(_Engine):
                 _check_cells(n, len(vs) + len(vb))
                 outer = tuple(None if v in vb else v for v in vs)
                 arr = _align(self._table(k, sa), outer + vb)
-                full = arr.shape[:len(vs)] + (n,) * len(vb)
-                slots.append(arr if arr.shape == full
-                             else np.broadcast_to(arr, full))
+                slots.append(quantmod._full(arr, arr.shape[:len(vs)]
+                                            + (n,) * len(vb)))
             return self.quantifiers[phi.qname].decide(n, slots, self.fvals)
         if isinstance(phi, (SetExists, SetForall)):
             tables = (self._table(kids[0], {**sa, phi.setvar: s})[1]

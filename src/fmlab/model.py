@@ -74,15 +74,13 @@ class BrModel:
 @dataclass(frozen=True)
 class NumericalRelation:
     """A fixed relation on the naturals usable as a built-in; `holds` is
-    its only definition.  At arity 2 or more, holds must also take numpy
-    int64 arrays and give the bool array of its verdicts: the table engine
-    broadcasts it over f-values.  A unary holds is called on ints only."""
+    its only definition, and both engines call it on f-values: the
+    top-down engine on the ints of one tuple, the table engine at arity 2
+    or more on int64 arrays of them, broadcast, for the bool array of its
+    verdicts.  A unary holds is called on ints only."""
     name: str
     arity: int
     holds: Callable[..., bool]
-
-    def eval_on(self, m: BrModel, tup: tuple) -> bool:
-        return bool(self.holds(*[m.f[a] for a in tup]))
 
 
 def _bit(x: int, y: int) -> bool:

@@ -11,7 +11,6 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from . import model as modelmod
 from .model import BrModel
 from .sets import NumericalSet, factorials, powers_of_two, squares
 
@@ -20,8 +19,9 @@ from .sets import NumericalSet, factorials, powers_of_two, squares
 class Quantifier:
     """A named quantifier: slot arities plus a decision procedure on
     (domain size, slots, permutation f) that decides a whole batch of
-    structures at once.  The declared flags are promises checked by tests,
-    not trusted by the code.
+    structures at once.  The declared flags are promises checked by tests;
+    `relativize_formula` trusts `universe_independent`, and no code reads
+    `order_invariant`.
 
     A slot is a bool array of shape `batch + (n,) * arity`: its slot axes
     always have length n, and its batch axes may have length 1 and
@@ -290,7 +290,6 @@ def quantifier_from_sentence(name: str, vocab: Sequence[tuple], sentence,
 
     vocab = list(vocab)
     arities = tuple(ar for _, ar in vocab)
-    builtins = builtins if builtins is not None else modelmod.default_builtins()
 
     def decide_one(n, slots, f):
         m = BrModel(n, dict(vocab), {nm: np.argwhere(s).tolist()

@@ -483,10 +483,10 @@ def _suite_regularization_ui(seed) -> list[Claim]:
 # the tailored order: first slot-only, then second-slot-only, then the rest,
 # ambient order within each block
 TAILORED_ORDER = (
-    "(((U(x) <-> U(y)) & (V(x) <-> V(y))) & @le(x, y))"
-    " | (U(x) & !V(x) & !(U(y) & !V(y)))"
-    " | (!U(x) & V(x) & (U(y) <-> V(y)))"
-    " | (U(x) & V(x) & !U(y) & !V(y))")
+    "(((U(t) <-> U(u)) & (V(t) <-> V(u))) & @le(t, u))"
+    " | (U(t) & !V(t) & !(U(u) & !V(u)))"
+    " | (!U(t) & V(t) & (U(u) <-> V(u)))"
+    " | (U(t) & V(t) & !U(u) & !V(u))")
 
 LIFT_NS = range(1, 10)
 LIFT_CHUNK = 1 << 14  # (U, V) pairs a batch
@@ -503,7 +503,7 @@ def _order_lookup() -> tuple[bool, list]:
                  "V": {(x,) for x in range(n) if cls[x] & 2}},
                 list(range(n)))
     rel = define_relation(m, parse(TAILORED_ORDER, {"U": 1, "V": 1}),
-                          ("x", "y"))
+                          ("t", "u"))
     table = {}
     consistent = True
     for x in range(n):
@@ -552,7 +552,7 @@ def _suite_lift_hartig(seed) -> list[Claim]:
     # full-formula route on a sample, against the same verdicts
     reg = {"Qab_le": lifted}
     qtext = ("Qab_le(x: U(x) & !V(x); y: V(y) & !U(y); z: U(z) <-> V(z); "
-             f"t, u: {TAILORED_ORDER.replace('x', 't').replace('y', 'u')})")
+             f"t, u: {TAILORED_ORDER})")
     phi = parse(qtext, {"U": 1, "V": 1}, quantmod.registry_shapes(reg))
     return claims + _equicardinality_claims(
         "the same construction written as one formula agrees on 60 random "
@@ -635,7 +635,7 @@ def _divmod_formulas(m: int):
                     vocab, shapes)
     zs = [f"z{i}" for i in range(1, m)]
     distinct = [f"!({a} = {b})" for a, b in itertools.combinations(zs, 2)]
-    inner = " & ".join([f"U({z})" for z in zs] + distinct) or "z1 = z1"
+    inner = " & ".join([f"U({z})" for z in zs] + distinct)
     strip = " & ".join([f"!(x = {z})" for z in zs])
     body = f"({inner}) & {cname}(x: U(x) & {strip})"
     for z in reversed(zs):
@@ -687,36 +687,27 @@ def _median_quantifier():
 
 
 def _median_formula():
-    def slotq(a, b):
-        return (f"QL1(x: {a('x')}; y: {b('y')}; "
-                f"w: !(({a('w')}) | ({b('w')})))")
+    def slots(a, b):
+        return f"QL1(x: {a('x')}; y: {b('y')}; w: !(({a('w')}) | ({b('w')})))"
 
-    def odd(w, z):
+    def median(w, z, low):
         return (f"({w}({z}) & "
-                + slotq(lambda v: f"{w}({v}) & {v} < {z}",
+                + slots(lambda v: f"{w}({v}) & {low(v, z)}",
                         lambda v: f"{w}({v}) & {z} < {v}") + ")")
 
-    def even(w, z):
-        return (f"({w}({z}) & "
-                + slotq(lambda v: f"{w}({v}) & @le({v}, {z})",
-                        lambda v: f"{w}({v}) & {z} < {v}") + ")")
+    def case(w1, w2, low):
+        return (f"E z. E z2. ({median(w1, 'z', low)} & "
+                f"{median(w2, 'z2', low)} & "
+                + slots(lambda v: f"{w1}({v}) & {low(v, 'z')}",
+                        lambda v: f"{w2}({v}) & z2 < {v}") + ")")
 
-    def bridge(w1, w2, strict_first):
-        cmp1 = (lambda v: f"{w1}({v}) & {v} < z") if strict_first else \
-               (lambda v: f"{w1}({v}) & @le({v}, z)")
-        return slotq(cmp1, lambda v: f"{w2}({v}) & z2 < {v}")
-
-    d0 = "(A x. !U(x)) & (A x. !V(x))"
-    d1 = (f"E z. E z2. ({odd('U', 'z')} & {odd('V', 'z2')} & "
-          f"{bridge('U', 'V', True)})")
-    d2 = (f"E z. E z2. ({odd('V', 'z')} & {odd('U', 'z2')} & "
-          f"{bridge('V', 'U', True)})")
-    d3 = (f"E z. E z2. ({even('U', 'z')} & {even('V', 'z2')} & "
-          f"{bridge('U', 'V', False)})")
-    d4 = (f"E z. E z2. ({even('V', 'z')} & {even('U', 'z2')} & "
-          f"{bridge('V', 'U', False)})")
-    text = f"({d0}) | ({d1}) | ({d2}) | ({d3}) | ({d4})"
-    return parse(text, {"U": 1, "V": 1}, {"QL1": [1, 1, 1]})
+    strict = lambda v, z: f"{v} < {z}"
+    weak = lambda v, z: f"@le({v}, {z})"
+    cases = ["(A x. !U(x)) & (A x. !V(x))",
+             case("U", "V", strict), case("V", "U", strict),
+             case("U", "V", weak), case("V", "U", weak)]
+    return parse(" | ".join(f"({c})" for c in cases), {"U": 1, "V": 1},
+                 {"QL1": [1, 1, 1]})
 
 
 def _median_tables(n: int):

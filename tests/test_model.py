@@ -1,3 +1,4 @@
+import itertools
 import random
 import re
 
@@ -5,10 +6,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from fmlab.evaluator import evaluate, evaluate_fast
 from fmlab.model import (BrModel, PartialArithModel, builtin_registry,
                          full_multiplication, parse_model, format_model,
                          powerset_structure, relativize, word_model,
                          zero_rows)
+from fmlab.syntax import parse
 
 
 def perms(n):
@@ -36,25 +39,49 @@ def test_model_validation():
         BrModel(3, {}, {}, f=[0, 0, 2])
 
 
-def test_builtin_eval_examples():
-    reg = builtin_registry()
-    ident = BrModel(5, {}, {})
-    assert reg["le"].eval_on(ident, (2, 4))
-    rev = BrModel(5, {}, {}, f=[4, 3, 2, 1, 0])
-    assert not reg["plus"].eval_on(rev, (4, 3, 2))
-    assert reg["plus"].eval_on(rev, (4, 3, 3))
-    assert reg["times"].eval_on(BrModel(10, {}, {}), (3, 3, 9))
-    assert reg["set:sq"].eval_on(BrModel(10, {}, {}), (4,))
-    assert not reg["set:sq"].eval_on(BrModel(10, {}, {}), (5,))
+ENGINES = (evaluate, evaluate_fast)
+BUILTIN_ATOMS = {"le": "@le(x, y)", "lt": "@lt(x, y)", "bit": "@bit(x, y)",
+                 "plus": "@plus(x, y, z)", "times": "@times(x, y, z)",
+                 "set:sq": "@set:sq(x)"}
 
 
-def test_builtin_le_is_linear_order():
-    reg = builtin_registry()
-    rng = random.Random(7)
+@pytest.mark.parametrize("engine", ENGINES)
+def test_builtin_eval_examples(engine):
+    def holds(text, tup, n, f=None):
+        m = BrModel(n, {}, {}, f)
+        return engine(m, parse(text), dict(zip("xyz", tup)))
+
+    assert holds("@le(x, y)", (2, 4), 5)
+    rev = [4, 3, 2, 1, 0]
+    assert not holds("@plus(x, y, z)", (4, 3, 2), 5, rev)  # 0 + 1 != 2
+    assert holds("@plus(x, y, z)", (4, 3, 3), 5, rev)
+    assert holds("@times(x, y, z)", (3, 3, 9), 10)
+    assert holds("@set:sq(x)", (4,), 10)
+    assert not holds("@set:sq(x)", (5,), 10)
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+@pytest.mark.parametrize("name", sorted(BUILTIN_ATOMS))
+def test_builtins_read_through_f(engine, name):
+    """A built-in atom holds at a tuple iff its relation's `holds` does on
+    the tuple's f-values: every tuple, n <= 5, under a random f."""
+    rel, phi = builtin_registry()[name], parse(BUILTIN_ATOMS[name])
+    rng = random.Random(name)
+    for n in range(1, 6):
+        f = rng.sample(range(n), n)
+        m = BrModel(n, {}, {}, f)
+        for tup in itertools.product(range(n), repeat=rel.arity):
+            want = bool(rel.holds(*[f[a] for a in tup]))
+            assert engine(m, phi, dict(zip("xyz", tup))) == want, (n, f, tup)
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+def test_builtin_le_is_linear_order(engine):
+    rng, phi = random.Random(7), parse("@le(x, y)")
     for _ in range(10):
         m = random_model(rng, 6)
         le = {(a, b) for a in range(6) for b in range(6)
-              if reg["le"].eval_on(m, (a, b))}
+              if engine(m, phi, {"x": a, "y": b})}
         for a in range(6):
             assert (a, a) in le
             for b in range(6):

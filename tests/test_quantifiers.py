@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fmlab import evaluator, quantifiers as Q, sets, syntax
+from fmlab import evaluator, quantifiers as Q, sets, suites, syntax
 from fmlab.model import powerset_structure
 from fmlab.quantifiers import slot_array
 
@@ -118,6 +118,26 @@ def test_order_invariant_flag_holds():
             slots = random_slots(rng, n, q.slot_arities)
             f2 = np.array(rng.sample(range(n), n))
             assert q.decide(n, slots, np.arange(n)) == q.decide(n, slots, f2), q.name
+
+
+def test_universe_independent_flag_holds():
+    """`relativize_formula` trusts this flag: a flagged quantifier keeps its
+    verdict when its structure is embedded, in order, into up to 10 points
+    whose fresh points carry no tuples."""
+    rng = random.Random(10)
+    flagged = [q for q in Q.builtin_quantifiers().values()
+               if q.universe_independent]
+    flagged += [Q.regularize(q) for q in (
+        Q.hartig(), Q.cardinality(Sq, "C_Sq"),
+        Q.language_quantifier(Q.lang_anbn()))]
+    for q in flagged:
+        for _ in range(60):
+            n0 = rng.randrange(1, 7)
+            slots = random_slots(rng, n0, q.slot_arities)
+            f0 = rng.sample(range(n0), n0)
+            n = rng.randrange(n0, 11)
+            padded, f = suites._pad_structure(rng, n0, slots, f0, n)
+            assert q.decide(n0, slots, f0) == q.decide(n, padded, f), q.name
 
 
 # -- a batch decides as its elements ------------------------------------------
