@@ -8,24 +8,25 @@ and `ef_equivalent`, the r-round back-and-forth game, decided by types.
   or an equation) runs directly; any other node is memoized on (its tag,
   values of its free variables and free set variables): the tag, a bare
   object, stands for the node.
-* `TruthTables` / `evaluate_fast` — bottom-up tables as numpy bool
-  arrays with one axis per free variable; the fast path for exhaustive
-  sweeps, and the independent second route.  A table of more than
-  `TABLE_CAP` cells is refused before it is built.
+* `TruthTables` / `evaluate_fast` — bottom-up numpy bool tables over a
+  `Batch` of structures; the fast path for exhaustive sweeps, and the
+  independent second route.  Each table is capped at `TABLE_CAP` cells.
 
 Every entry point makes one admission check, `_Engine.admit`, and the
 clauses trust what it admitted.  A built-in's `holds` is its only
 definition: the top-down engine calls it on f-values, the table engine
 on each f-value or on grids of them.  A quantifier application is one
 `decide` call in either engine: on one structure top-down, and on the
-batch of all assignments to its free variables in the table engine.
+batch of all structures and assignments to its free variables in tables.
 """
 
 from __future__ import annotations
 
+import collections
 import functools
 import itertools
 import operator
+from math import prod
 from typing import Optional
 
 import numpy as np
@@ -38,8 +39,8 @@ from .syntax import (And, Atom, BuiltinAtom, Count, Eq, Exists, Forall,
 
 MSO_CAP = 16
 DEFAULT_BUDGET = 50_000_000
-# cells of one truth table; the largest in use is 8**9, in the extension
-# formula (`arithx.mu_formula`) at n=8
+# cells of one truth table, batch x n**variables; the largest in use is
+# 8**9, in the extension formula (`arithx.mu_formula`) at n=8
 TABLE_CAP = 2 ** 27
 
 
@@ -247,11 +248,9 @@ def evaluate(m: BrModel, phi: Formula, assignment: Optional[dict] = None, *,
 # bottom-up truth tables
 
 
-def _check_cells(n: int, k: int):
-    """Refuse a table of n**k cells beyond TABLE_CAP, before building it."""
-    if n ** k > TABLE_CAP:
-        raise BudgetExceeded(f"a table over {k} variables at n={n} has "
-                             f"{n ** k} cells; cap is {TABLE_CAP}")
+# structures in `decide`'s form: relations as bool arrays of shape
+# batch + (n,) * arity, f of shape (n,) or batch + (n,)
+Batch = collections.namedtuple("Batch", "n arities rels f")
 
 
 def _align(table: tuple, target: tuple) -> np.ndarray:
@@ -259,43 +258,52 @@ def _align(table: tuple, target: tuple) -> np.ndarray:
     of vars in any order: axes transposed into target order, and a
     length-1 axis, which broadcasts, for each variable the table lacks."""
     vs, arr = table
-    arr = np.transpose(arr, [vs.index(v) for v in target if v in vs])
-    return arr[tuple(slice(None) if v in vs else None for v in target)]
+    k = arr.ndim - len(vs)
+    arr = arr.transpose(*range(k), *[k + vs.index(v) for v in target
+                                     if v in vs])
+    return arr[(..., *[slice(None) if v in vs else None for v in target])]
 
 
 class TruthTables(_Engine):
-    """Bottom-up evaluation: for each subformula a pair (vars, array) where
-    vars is the sorted tuple of free first-order variables and the bool
-    array has one axis of length n per variable, axis i for vars[i]; a
-    sentence's array is 0-d.  Tables are memoized per (subformula, values
-    of its free set variables); the key holds the formula itself, and
-    equal formulas are one object, so a reused instance never mistakes one
-    formula for another."""
+    """Bottom-up evaluation on a `Batch`, or on a `BrModel`, the batch ():
+    for each subformula a pair (vars, array), vars the sorted tuple of its
+    free first-order variables and the bool array's last axes one of
+    length n a variable, after the batch axes, which a table lacks where
+    it does not depend on them (numpy aligns shapes from the end); `table`
+    gives the full shape.  Tables are memoized per (subformula, values of
+    its free set variables), keyed by the formula: equal ones are one."""
+
+    def __init__(self, m, builtins=None, quantifiers=None):
+        if isinstance(m, BrModel):
+            m = Batch(m.n, m.arities, {r: quantmod.slot_array(
+                m.n, ts, m.arities[r]) for r, ts in m.rels.items()}, m.f)
+        super().__init__(m, builtins, quantifiers)
+        self.batch = np.broadcast_shapes(self.fvals.shape[:-1], *(
+            s.shape[:s.ndim - m.arities[r]] for r, s in m.rels.items()))
 
     def table(self, phi: Formula, set_assignment=None) -> tuple:
-        return self._table(phi, self.admit(phi, set_assignment))
+        vs, arr = self._table(phi, self.admit(phi, set_assignment))
+        return vs, quantmod._full(arr, self.batch + (self.n,) * len(vs))
+
+    def _check_cells(self, k: int):
+        """Refuse a k-variable table over TABLE_CAP before building it."""
+        if (cells := prod(self.batch) * self.n ** k) > TABLE_CAP:
+            raise BudgetExceeded(f"a table over {k} variables at n={self.n}, "
+                                 f"batch {self.batch}: {cells} cells; cap is "
+                                 f"{TABLE_CAP}")
 
     def _table(self, phi, sa) -> tuple:
         key = (phi, tuple([sa[v] for v in phi.free_sets]))
         hit = self.memo.get(key)
         if hit is not None:
             return hit
-        _check_cells(self.n, len(phi.free))
+        self._check_cells(len(phi.free))
         out = phi.free, self._build(phi, sa)
         self.memo[key] = out
         return out
 
-    def _counts(self, table: tuple, var) -> tuple:
-        """Witnesses for `var` at each assignment of the table's other
-        variables: (those variables, int array)."""
-        vs, arr = table
-        if var not in vs:
-            return vs, arr.astype(np.int64) * self.n
-        return (tuple(v for v in vs if v != var),
-                arr.sum(axis=vs.index(var), dtype=np.int64))
-
     def _build(self, phi, sa) -> np.ndarray:
-        n = self.n
+        n, fvals = self.n, self.fvals
         kids, vs = phi.kids, phi.free
         if isinstance(phi, (Atom, BuiltinAtom)):
             # argument i read at the grid of its variable's axis in vs, so
@@ -303,12 +311,12 @@ class TruthTables(_Engine):
             grid = tuple(np.arange(n).reshape([n if w == v else 1 for w in vs])
                          for v in phi.args)
             if isinstance(phi, Atom):
-                return quantmod.slot_array(n, self.m.rels[phi.name],
-                                           len(grid))[grid]
+                return self.m.rels[phi.name][(..., *grid)]
             rel = self.builtins[phi.name]
             if rel.arity == 1:
-                return np.array([rel.holds(x) for x in self.m.f], dtype=bool)
-            return rel.holds(*(self.fvals[g] for g in grid))
+                return np.array([rel.holds(x) for x in range(n)],
+                                dtype=bool)[fvals]
+            return rel.holds(*(fvals[(..., g)] for g in grid))
         if isinstance(phi, Eq):
             return np.eye(n, dtype=bool) if len(vs) == 2 else np.ones(n, bool)
         if isinstance(phi, SetAtom):
@@ -332,25 +340,29 @@ class TruthTables(_Engine):
             if phi.var not in svs:
                 return arr  # vacuous: the domain is nonempty
             reduce = np.any if isinstance(phi, Exists) else np.all
-            return reduce(arr, axis=svs.index(phi.var))
+            return reduce(arr, axis=svs.index(phi.var) - len(svs))
         if isinstance(phi, Count):
-            counts = self._counts(self._table(kids[0], sa), phi.var)
-            f = self.fvals.reshape([n if v == phi.target else 1 for v in vs])
-            return _align(counts, vs) == f
+            # witnesses for phi.var at each assignment of the others
+            svs, arr = self._table(kids[0], sa)
+            arr = (arr.sum(axis=svs.index(phi.var) - len(svs))
+                   if phi.var in svs else arr * n)
+            counts = tuple(v for v in svs if v != phi.var), arr
+            return _align(counts, vs) == fvals.reshape(fvals.shape[:-1] + tuple(
+                n if v == phi.target else 1 for v in vs))
         if isinstance(phi, QApp):
-            # one decision for the whole batch of assignments to vs: each
-            # slot's table with vs as batch axes (length 1 where the slot
+            # one decision for the whole batch: each slot's table with the
+            # structures' and vs's axes as batch axes (length 1 where it
             # does not depend on one, as on a variable it binds itself),
-            # then its bound variables as slot axes of length n; a decision
-            # may broadcast a slot over all those axes
+            # then its bound variables as slot axes; decide broadcasts
             slots = []
             for (vb, _), k in zip(phi.slots, kids):
-                _check_cells(n, len(vs) + len(vb))
+                self._check_cells(len(vs) + len(vb))
                 outer = tuple(None if v in vb else v for v in vs)
                 arr = _align(self._table(k, sa), outer + vb)
-                slots.append(quantmod._full(arr, arr.shape[:len(vs)]
+                slots.append(quantmod._full(arr, arr.shape[:arr.ndim - len(vb)]
                                             + (n,) * len(vb)))
-            return self.quantifiers[phi.qname].decide(n, slots, self.fvals)
+            return self.quantifiers[phi.qname].decide(n, slots, fvals.reshape(
+                fvals.shape[:-1] + (1,) * len(vs) + (n,)))
         if isinstance(phi, (SetExists, SetForall)):
             tables = (self._table(kids[0], {**sa, phi.setvar: s})[1]
                       for s in _subsets(n))
@@ -381,7 +393,7 @@ def define_relation(m: BrModel, phi: Formula, var_order, *, builtins=None,
         raise ValueError("var_order must cover the free variables")
     if len(set(var_order)) != len(var_order):
         raise ValueError("var_order repeats a variable")
-    _check_cells(m.n, len(var_order))
+    tt._check_cells(len(var_order))
     arr = _align(tt._table(phi, sa), var_order)
     arr = np.broadcast_to(arr, (m.n,) * len(var_order))
     if not var_order:  # a sentence: `np.nonzero` refuses a 0-d array

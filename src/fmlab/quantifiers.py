@@ -11,7 +11,6 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .model import BrModel
 from .sets import NumericalSet, factorials, powers_of_two, squares
 
 
@@ -24,11 +23,12 @@ class Quantifier:
     `order_invariant`.
 
     A slot is a bool array of shape `batch + (n,) * arity`: its slot axes
-    always have length n, and its batch axes may have length 1 and
-    broadcast.  `f` is an int array of shape `(n,)` or `batch + (n,)`, so
-    that each structure may carry its own permutation.  `decide` returns a
-    bool array of the broadcast batch shape; one structure has
-    `batch = ()` and a 0-d verdict."""
+    always have length n, and its batch axes may have length 1, or be
+    missing in front, and broadcast (numpy aligns shapes from the end).
+    `f` is an int array of shape `(n,)` or `batch + (n,)`, so that each
+    structure may carry its own permutation.  `decide` returns a bool
+    array of the broadcast batch shape; one structure has `batch = ()`
+    and a 0-d verdict."""
     name: str
     slot_arities: tuple
     decide: Callable
@@ -62,18 +62,6 @@ def _rows(n: int, arities: tuple, slots, f) -> tuple:
     return (batch, [_full(s, batch + (n,) * a).reshape((-1,) + (n,) * a)
                     for s, a in zip(slots, arities)],
             _full(f, batch + (n,)).reshape(-1, n))
-
-
-def _per_structure(arities: tuple, decide_one: Callable) -> Callable:
-    """A batch `decide` that calls `decide_one(n, slots, f)` on each
-    structure of the batch: slots of shape (n,) * arity, f of shape (n,)."""
-
-    def decide(n, slots, f):
-        batch, slots, f = _rows(n, arities, slots, f)
-        return np.array([decide_one(n, [s[i] for s in slots], f[i])
-                         for i in range(len(f))], dtype=bool).reshape(batch)
-
-    return decide
 
 
 def _counting(name: str, arities: tuple, sizes_decide: Callable,
@@ -283,21 +271,19 @@ def language_quantifier(lang: Language) -> Quantifier:
 
 def quantifier_from_sentence(name: str, vocab: Sequence[tuple], sentence,
                              builtins=None) -> Quantifier:
-    """`vocab` is an ordered list of (relation name, arity); the decision
-    procedure evaluates the sentence top-down on each structure of the
-    batch, assembled as a br-structure."""
+    """`vocab` is an ordered list of (relation name, arity), one a slot;
+    one table evaluation of the sentence decides the whole batch."""
     from . import evaluator  # deferred: evaluator is a higher layer
 
-    vocab = list(vocab)
-    arities = tuple(ar for _, ar in vocab)
+    if sentence.free:
+        raise ValueError(f"{name}: not a sentence, {sentence.free} free")
+    vocab = dict(vocab)
 
-    def decide_one(n, slots, f):
-        m = BrModel(n, dict(vocab), {nm: np.argwhere(s).tolist()
-                                     for (nm, _), s in zip(vocab, slots)},
-                    f.tolist())
-        return evaluator.evaluate(m, sentence, {}, builtins=builtins)
+    def decide(n, slots, f):
+        batch = evaluator.Batch(n, vocab, dict(zip(vocab, slots)), f)
+        return evaluator.TruthTables(batch, builtins).table(sentence)[1]
 
-    return Quantifier(name, arities, _per_structure(arities, decide_one))
+    return Quantifier(name, tuple(vocab.values()), decide)
 
 
 # ---------------------------------------------------------------------------
@@ -365,17 +351,19 @@ def powerset_quantifier() -> Quantifier:
     structurally: D and R = range(E) disjoint, the neighborhood map on R
     injective, and |R| = 2^|D| - 1."""
 
-    def decide_one(n, slots, f):
-        e = slots[0]
-        dom, rng = e.any(axis=1), e.any(axis=0)
-        d, r = int(dom.sum()), int(rng.sum())
-        if not d or (dom & rng).any() or r != 2 ** d - 1:
-            return False
-        neighborhoods = {e[:, b].tobytes() for b in np.flatnonzero(rng)}
-        return len(neighborhoods) == r and isqrt(d) ** 2 == d
+    def decide(n, slots, f):
+        batch, (es,), _ = _rows(n, (2,), slots, f)
+        out = np.zeros(len(es), dtype=bool)
+        for i, e in enumerate(es):
+            dom, rng = e.any(axis=1), e.any(axis=0)
+            d, r = int(dom.sum()), int(rng.sum())
+            if d and not (dom & rng).any() and r == 2 ** d - 1:
+                neighborhoods = {e[:, b].tobytes() for b in np.flatnonzero(rng)}
+                out[i] = len(neighborhoods) == r and isqrt(d) ** 2 == d
+        return out.reshape(batch)
 
-    return Quantifier("PowSq", (2,), _per_structure((2,), decide_one),
-                      universe_independent=True, order_invariant=True)
+    return Quantifier("PowSq", (2,), decide, universe_independent=True,
+                      order_invariant=True)
 
 
 # ---------------------------------------------------------------------------

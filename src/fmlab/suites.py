@@ -26,7 +26,8 @@ from typing import Callable, Iterable
 import numpy as np
 
 from . import arithx, quantifiers as quantmod, sets as setsmod
-from .evaluator import TruthTables, define_relation, ef_equivalent, evaluate
+from .evaluator import (Batch, TruthTables, define_relation, ef_equivalent,
+                        evaluate)
 from .model import (BrModel, PartialArithModel, builtin_registry,
                     full_multiplication, powerset_structure, relativize,
                     word_model, zero_rows)
@@ -131,14 +132,20 @@ def _equicardinality_claims(label, rng, phi, reg, count, max_n) -> list[Claim]:
         == (len(m.rels["U"]) == len(m.rels["V"]))))
 
 
-def _mask_rel(mask: int, n: int) -> frozenset:
-    return frozenset((i,) for i in range(n) if mask >> i & 1)
-
-
 def _mask_bits(n: int) -> np.ndarray:
     """Every subset of n points as a unary slot: row `mask` holds bit i of
     mask at column i."""
     return (np.arange(1 << n)[:, None] >> np.arange(n) & 1).astype(bool)
+
+
+def _on_masks(n: int, reg: dict, phis, **masks) -> list:
+    """Each sentence's verdicts, as a list, on the batch of structures
+    whose unary relations U, V, .. are the subsets `masks["U"]`, .. of n
+    points, under the identity f: one table evaluation for them all."""
+    bits = _mask_bits(n)
+    tables = TruthTables(Batch(n, dict.fromkeys(masks, 1), {
+        r: bits[m] for r, m in masks.items()}, np.arange(n)), quantifiers=reg)
+    return [tables.table(phi)[1].tolist() for phi in phis]
 
 
 # ---------------------------------------------------------------------------
@@ -589,15 +596,12 @@ def _suite_rc_unary(seed) -> list[Claim]:
     phi = parse("QrcReg(x: U(x); y: U(y))", {"U": 1},
                 quantmod.registry_shapes(reg))
 
-    def by_formula(n, rel):
-        m = BrModel(n, {"U": 1}, {"U": set(rel)}, list(range(n)))
-        return evaluate(m, phi, {}, quantifiers=reg) == (len(rel) in splus1)
-
-    subsets = (((n, mask), n, _mask_rel(mask, n))
-               for n in range(1, 9) for mask in range(1 << n))
+    subsets = (((n, mask), got == (mask.bit_count() in splus1))
+               for n in range(1, 9) for mask, got
+               in enumerate(_on_masks(n, reg, [phi], U=np.arange(1 << n))[0]))
     claims += _first_failures(subsets, (
         "the same check through formula evaluation, exhaustive for n <= 8",
-        "n,mask", by_formula))
+        "n,mask", bool))
 
     def slot_pairs():
         for i in range(200):
@@ -651,16 +655,13 @@ def _suite_divmod_interdef(seed) -> list[Claim]:
 
     def verdicts():
         for n in DIVMOD_NS:
-            masks = (range(1 << n) if n <= DIVMOD_FULL_N else
+            masks = (list(range(1 << n)) if n <= DIVMOD_FULL_N else
                      [rng.randrange(1 << n) for _ in range(DIVMOD_SAMPLES)])
-            for mask in masks:
-                model = BrModel(n, {"U": 1}, {"U": set(_mask_rel(mask, n))},
-                                list(range(n)))
-                size = bin(mask).count("1")
-                for m, (reg, *formulas) in per_m.items():
-                    tt = TruthTables(model, quantifiers=reg)
-                    yield ((m, n, mask), m, size,
-                           *(bool(tt.table(phi)[1]) for phi in formulas))
+            got = {m: list(zip(*_on_masks(n, reg, formulas, U=masks)))
+                   for m, (reg, *formulas) in per_m.items()}
+            for i, mask in enumerate(masks):
+                for m in DIVMOD_MS:
+                    yield (m, n, mask), m, mask.bit_count(), *got[m][i]
 
     return _first_failures(
         verdicts(),
@@ -772,22 +773,18 @@ def _suite_median_trick(seed) -> list[Claim]:
     def mask_pairs():
         for n in MEDIAN_NS:
             if n <= MEDIAN_FULL_N:
-                pairs = itertools.product(range(1 << n), repeat=2)
+                pairs = list(itertools.product(range(1 << n), repeat=2))
             else:
                 pairs = [(rng.randrange(1 << n), rng.randrange(1 << n))
                          for _ in range(MEDIAN_SAMPLES)]
-            for um, vm in pairs:
-                yield (n, um, vm), n, um, vm
-
-    def matches(n, um, vm):
-        m = BrModel(n, {"U": 1, "V": 1},
-                    {"U": set(_mask_rel(um, n)), "V": set(_mask_rel(vm, n))},
-                    list(range(n)))
-        return evaluate(m, phi, {}, quantifiers=reg) == bool(verdicts[n][um, vm])
+            um, vm = np.array(pairs).T
+            got, = _on_masks(n, reg, [phi], U=um, V=vm)
+            for pair, g, want in zip(pairs, got, verdicts[n][um, vm].tolist()):
+                yield (n, *pair), g == want
 
     claims += _first_failures(mask_pairs(), (
         "real formula evaluation matches the vectorized route (exhaustive "
-        "n <= 5, sampled to n = 10)", "n,Umask,Vmask", matches))
+        "n <= 5, sampled to n = 10)", "n,Umask,Vmask", bool))
     return claims + _equicardinality_claims(
         "the formula also decides equicardinality under 40 random "
         "permutations", rng, phi, reg, 40, 8)

@@ -2,6 +2,7 @@ import functools
 import gc
 import itertools
 import random
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -9,8 +10,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fmlab import evaluator, quantifiers as Q, sets, suites, syntax
-from fmlab.evaluator import (BudgetExceeded, TruthTables, define_relation,
-                             ef_equivalent, evaluate, evaluate_fast)
+from fmlab.evaluator import (Batch, BudgetExceeded, TruthTables,
+                             define_relation, ef_equivalent, evaluate,
+                             evaluate_fast)
 from fmlab.model import BrModel, word_model
 from fmlab.syntax import And, Atom, Exists, parse
 
@@ -212,6 +214,35 @@ def test_table_cap_counts_a_slot_over_every_outer_variable(monkeypatch):
         TruthTables(m, quantifiers=QUANTS).table(phi)
     monkeypatch.setattr(evaluator, "TABLE_CAP", 8 ** 3)
     assert TruthTables(m, quantifiers=QUANTS).table(phi)[1].shape == (8, 8)
+
+
+def test_table_cap_counts_batch_times_cells(monkeypatch):
+    # U(x) over 8 structures at n=4 is a table of 8 x 4 cells
+    u = np.zeros((8, 4), dtype=bool)
+    phi = parse("E x. U(x)", {"U": 1})
+    monkeypatch.setattr(evaluator, "TABLE_CAP", 8 * 4 - 1)
+    with pytest.raises(BudgetExceeded, match="over 1 variables"):
+        TruthTables(Batch(4, {"U": 1}, {"U": u}, np.arange(4))).table(phi)
+    monkeypatch.setattr(evaluator, "TABLE_CAP", 8 * 4)
+    assert TruthTables(Batch(4, {"U": 1}, {"U": u}, np.arange(4))).table(
+        phi)[1].shape == (8,)
+
+
+def test_batch_over_the_cap_is_refused_before_allocating():
+    # 2**20 structures at n=256: each has a table of 256 cells, the batch
+    # 2**28; the slot is a broadcast view, so only the engine could
+    # allocate, and it must refuse first
+    n, q = 256, Q.quantifier_from_sentence(
+        "some", [("U", 1)], parse("E x. U(x)", {"U": 1}))
+    u = np.broadcast_to(np.zeros(n, dtype=bool), (1 << 20, n))
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceeded, match="268435456 cells"):
+            q.decide(n, [u], np.arange(n))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_unassigned_free_variable_is_an_error():

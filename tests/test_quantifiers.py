@@ -516,19 +516,26 @@ def test_registry_shapes():
     assert shapes["C_Sq"] == [1] and shapes["PowSq"] == [2]
 
 
-def test_sentence_quantifier_decides_top_down(monkeypatch):
-    # one engine: no knob picks another, and every decision is `evaluate`
+def test_sentence_quantifier_decides_by_one_table(monkeypatch):
+    # one engine: no knob picks another, and a batch is decided by one
+    # table evaluation of the sentence, with no top-down `evaluate`
     from fmlab import evaluator, syntax
     with pytest.raises(TypeError):
         Q.quantifier_from_sentence("q", [("U", 1)],
                                    syntax.parse("E x. U(x)", {"U": 1}),
                                    engine="fast")
+    with pytest.raises(ValueError, match="not a sentence"):
+        Q.quantifier_from_sentence("q", [("U", 1)],
+                                   syntax.parse("U(x)", {"U": 1}))
     calls = []
-    real = evaluator.evaluate
-    monkeypatch.setattr(evaluator, "evaluate",
-                        lambda *a, **k: calls.append(a) or real(*a, **k))
+    real = evaluator.TruthTables.table
+    monkeypatch.setattr(evaluator, "evaluate", lambda *a, **k: calls.append(
+        "evaluate"))
+    monkeypatch.setattr(evaluator.TruthTables, "table",
+                        lambda *a, **k: calls.append("table") or real(*a, **k))
     q = Q.quantifier_from_sentence("q", [("U", 1)],
                                    syntax.parse("E x. U(x)", {"U": 1}))
-    assert q.decide(3, [slot_array(3, {1})], np.arange(3))
-    assert not q.decide(3, [slot_array(3, [])], np.arange(3))
-    assert len(calls) == 2
+    masks = np.arange(8)[:, None] >> np.arange(3) & 1
+    assert q.decide(3, [masks.astype(bool)], np.arange(3)).tolist() == [
+        False] + [True] * 7
+    assert calls == ["table"]

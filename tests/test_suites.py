@@ -1,6 +1,11 @@
+import itertools
+
+import numpy as np
 import pytest
 
 from fmlab import suites
+from fmlab.evaluator import evaluate
+from fmlab.model import BrModel
 from fmlab.suites import Claim, SuiteReport, _first_failures, run_suite
 
 EXPECTED = {
@@ -118,3 +123,36 @@ def test_cheap_suites_pass():
 def test_substitution_alternate_seed():
     # the randomized contract holds for more than the shipped seed
     assert run_suite("substitution", seed=4242).ok
+
+
+def test_median_batch_verdicts_match_top_down_evaluation():
+    # median-trick evaluates its formula only in batches of tables; the
+    # top-down engine must agree on every (U, V) for n <= 4
+    phi, reg = suites._median_formula(), {"QL1": suites._median_quantifier()}
+    for n in range(1, 5):
+        pairs = list(itertools.product(range(1 << n), repeat=2))
+        um, vm = np.array(pairs).T
+        got, = suites._on_masks(n, reg, [phi], U=um, V=vm)
+        for (a, b), verdict in zip(pairs, got):
+            m = BrModel(n, {"U": 1, "V": 1},
+                        {"U": {(i,) for i in range(n) if a >> i & 1},
+                         "V": {(i,) for i in range(n) if b >> i & 1}})
+            assert evaluate(m, phi, {}, quantifiers=reg) == verdict, (n, a, b)
+
+
+def test_batched_claim_names_its_first_bad_pair(monkeypatch):
+    real = suites._median_verdicts
+
+    def flipped(n):
+        v = real(n)
+        if n == 3:
+            v[5, 2] = not v[5, 2]
+        return v
+
+    monkeypatch.setattr(suites, "_median_verdicts", flipped)
+    vectorized, formula, _ = run_suite("median-trick").claims
+    assert (vectorized.ok, vectorized.detail) == (False,
+                                                  "n,Umask,Vmask=(3, 5, 2)")
+    # the formula's batches stop at the flip: 4 + 16 pairs, then 43 at n=3
+    assert (formula.ok, formula.detail, formula.cases) == (
+        False, "n,Umask,Vmask=(3, 5, 2)", 63)
