@@ -1,13 +1,14 @@
 """Formula evaluation on br-structures: two engines with one semantics,
 and `ef_equivalent`, the r-round back-and-forth game, decided by types.
 
-* `evaluate` — top-down, through each formula's plan: one closure per
-  node, made from its class's entry in `_CLAUSES`, built on first use and
-  kept on the formula, with no model, registry or memo in it.  Each plan
-  call is one step against `budget`, in one Python frame.  A leaf (an atom
-  or an equation) runs directly; any other node is memoized on (its tag,
-  values of its free variables and free set variables): the tag, a bare
-  object, stands for the node.
+* `evaluate` — top-down, through each formula's plan: one function per
+  node, compiled from its class's entry in `_CLAUSES` with the node's
+  constants as default arguments, built on first use and kept on the
+  formula, with no model, registry or memo in it.  Each plan call is one
+  step against `budget`, in one Python frame.  A leaf (an atom or an
+  equation) runs directly; any other node is memoized on one flat tuple,
+  its tag (a bare object that stands for the node), then the values of
+  its free variables and free set variables.
 * `TruthTables` / `evaluate_fast` — bottom-up numpy bool tables over a
   `Batch` of structures; the fast path for exhaustive sweeps, and the
   independent second route.  Each table is capped at `TABLE_CAP` cells.
@@ -25,7 +26,6 @@ from __future__ import annotations
 import collections
 import functools
 import itertools
-import operator
 from math import prod
 from typing import Optional
 
@@ -110,40 +110,35 @@ class _Engine:
         return sa
 
 
-def _no_values(d) -> tuple:
-    return ()
-
-
-def _tuple_of(names: tuple):
-    """A function from a dict to the tuple of its values at `names`."""
-    if len(names) == 1:
-        return lambda d, v=names[0]: (d[v],)
-    return operator.itemgetter(*names) if names else _no_values
-
-
 def _plan(phi: Formula):
     """phi's plan, a function (engine, assignment, set assignment) -> bool;
     built on first use, from the kids' plans, and kept on phi."""
-    if "plan" in phi.__dict__:
-        return phi.plan
-    memo = bool(phi.kids)  # a leaf has no memo and builds no key getters
-    plan = _maker(type(phi), memo)(
-        phi, [_plan(k) for k in phi.kids], object(),
-        _tuple_of(phi.free) if memo else None,
-        _tuple_of(phi.free_sets) if memo and phi.free_sets else None)
+    plan = phi.__dict__.get("plan")
+    if plan is not None:
+        return plan
+    memo = bool(phi.kids)  # a leaf has no memo and no key
+    # the variables `plan` reads by position: the free variables that key
+    # a node, or an atom's arguments
+    xs = phi.free if memo else getattr(phi, "args", ())
+    plan = _maker(type(phi), memo, len(xs),
+                  len(phi.free_sets) if memo else 0)(
+        phi, xs, [_plan(k) for k in phi.kids])
     return phi.__dict__.setdefault("plan", plan)
 
 
-# A plan is one closure, so that a step is one Python frame (Feeley &
-# Lapalme 1987).  `make` runs a class's set-up once per node, over phi and
-# its kids' plans `ks`; `plan` counts the step, looks the node up in the
-# memo unless it is a leaf, and runs the clause, which sets `out` from
-# `eng`, `a` and `sa`.  A memo key names its node by `tag`, a bare
-# `object()`: no key holds a plan or a formula, and no plan holds itself.
+# A plan is one function, so that a step is one Python frame (Feeley &
+# Lapalme 1987), with its node's constants as default arguments: one
+# tuple a plan, no closure cells, and each read is a local.  `make` fills
+# them once per node from phi, the variables `xs` and the kids' plans
+# `ks`; `plan` counts the step, looks the node up in the memo unless it is
+# a leaf, and runs the clause, which sets `out` from `eng`, `a` and `sa`.
+# A memo key is `(tag, a[x0], ..., sa[X0], ...)`: `tag`, a bare
+# `object()`, then the values of the node's free variables and free set
+# variables, so its length is fixed per node and no two nodes' keys
+# alias.  No key holds a plan or a formula, and no plan holds itself.
 _STEP = """\
-def make(phi, ks, tag, values, sets):
-    {setup}
-    def plan(eng, a, sa):
+def make(phi, xs, ks):
+    def plan(eng, a, sa, {consts}):
         eng.ops += 1
         if eng.ops > eng.budget:
             raise BudgetExceeded(
@@ -153,7 +148,7 @@ def make(phi, ks, tag, values, sets):
     return plan
 """
 _MEMO = """
-        key = (tag, values(a), () if sets is None else sets(sa))
+        key = (tag, {values})
         out = eng.memo.get(key)
         if out is not None:
             return out
@@ -162,73 +157,81 @@ _MEMO = """
 
 
 @functools.cache
-def _maker(cls, memo: bool):
-    """The `make` of class cls's plans, compiled from `_STEP`."""
-    setup, clause = _CLAUSES[cls]
+def _maker(cls, memo: bool, nxs: int, nsets: int):
+    """The `make` of class cls's plans that read `nxs` variables `x0, ...`
+    and `nsets` free set variables `X0, ...`, compiled from `_STEP`."""
+    consts, clause = _CLAUSES[cls]
+    names = [(f"x{i}", f"xs[{i}]", f"a[x{i}]") for i in range(nxs)] + [
+        (f"X{i}", f"phi.free_sets[{i}]", f"sa[X{i}]") for i in range(nsets)]
+    consts = ", ".join([f"{x}={at}" for x, at, _ in names] + [consts])
+    values = "".join(f"{value}, " for *_, value in names)
     if memo:
-        clause = _MEMO.format(clause=clause)
-    src = _STEP.format(setup=setup, clause=clause)
+        consts = "tag=object(), " + consts
+        clause = _MEMO.format(clause=clause, values=values)
+    else:  # an atom's clause reads its arguments' values
+        clause = clause.format(values=values, f_values="".join(
+            f"f[{value}], " for *_, value in names))
+    src = _STEP.format(consts=consts, clause=clause)
     scope: dict = {}
     exec(compile(src, f"<plan of {cls.__name__}>", "exec"), globals(), scope)
     return scope["make"]
 
 
-def _points(n: int, a: dict, vs: tuple):
-    """`a` extended by each assignment to `vs`: one dict, updated in place."""
-    b = dict(a)
-    if len(vs) == 1:
-        for b[vs[0]] in range(n):
-            yield b
-    else:
-        for values in itertools.product(range(n), repeat=len(vs)):
-            b.update(zip(vs, values))
-            yield b
-
-
-# per class: (set-up, clause), the sources `_maker` compiles; a clause of
-# more than one line starts on a new line, indented as in `_STEP`.  The
-# domain is never empty, so a binder's loop sets `out`; it stops where
-# `any` or `all` would.
+# per class: (constants, clause), the sources `_maker` compiles: default
+# arguments of `plan`, and a body that starts on a new line, indented as
+# in `_STEP`, if it has more than one line.  A leaf's clause is a format
+# string over its arguments' `values` and `f_values`.  The domain is never
+# empty, so a binder's loop sets `out`; it stops where `any` or `all`
+# would.  No clause has a comprehension: it would give `plan` cells.
 _CLAUSES = {
-    Atom: ("r, xs = phi.name, _tuple_of(phi.args)",
-           "out = xs(a) in eng.m.rels[r]"),
-    BuiltinAtom: ("r, xs = phi.name, _tuple_of(phi.args)",
-                  "out = bool(eng.builtins[r].holds("
-                  "*[eng.m.f[x] for x in xs(a)]))"),
-    Eq: ("x, y = phi.left, phi.right", "out = a[x] == a[y]"),
-    SetAtom: ("x, s = phi.arg, phi.setvar", "out = a[x] in sa[s]"),
-    Not: ("k, = ks", "out = not k(eng, a, sa)"),
-    And: ("l, r = ks", "out = l(eng, a, sa) and r(eng, a, sa)"),
-    Or: ("l, r = ks", "out = l(eng, a, sa) or r(eng, a, sa)"),
-    Imp: ("l, r = ks", "out = not l(eng, a, sa) or r(eng, a, sa)"),
-    Iff: ("l, r = ks", "out = l(eng, a, sa) == r(eng, a, sa)"),
-    Exists: ("(k,), v = ks, phi.var", """
+    Atom: ("r=phi.name", "out = ({values}) in eng.m.rels[r]"),
+    BuiltinAtom: ("r=phi.name", """
+        f = eng.m.f
+        out = bool(eng.builtins[r].holds({f_values}))"""),
+    Eq: ("x=phi.left, y=phi.right", "out = a[x] == a[y]"),
+    SetAtom: ("x=phi.arg, s=phi.setvar", "out = a[x] in sa[s]"),
+    Not: ("k=ks[0]", "out = not k(eng, a, sa)"),
+    And: ("l=ks[0], r=ks[1]", "out = l(eng, a, sa) and r(eng, a, sa)"),
+    Or: ("l=ks[0], r=ks[1]", "out = l(eng, a, sa) or r(eng, a, sa)"),
+    Imp: ("l=ks[0], r=ks[1]", "out = not l(eng, a, sa) or r(eng, a, sa)"),
+    Iff: ("l=ks[0], r=ks[1]", "out = l(eng, a, sa) == r(eng, a, sa)"),
+    Exists: ("k=ks[0], v=phi.var", """
         b = dict(a)
         for b[v] in range(eng.n):
             if out := k(eng, b, sa):
                 break"""),
-    Forall: ("(k,), v = ks, phi.var", """
+    Forall: ("k=ks[0], v=phi.var", """
         b = dict(a)
         for b[v] in range(eng.n):
             if not (out := k(eng, b, sa)):
                 break"""),
-    Count: ("(k,), v, y = ks, phi.var, phi.target", """
+    Count: ("k=ks[0], v=phi.var, y=phi.target", """
         b, c = dict(a), 0
         for b[v] in range(eng.n):
             c += k(eng, b, sa)
         out = eng.m.f[a[y]] == c"""),
-    QApp: ("q, slots = phi.qname, [(vs, len(vs), k)"
-           " for (vs, _), k in zip(phi.slots, ks)]", """
-        n = eng.n
-        out = bool(eng.quantifiers[q].decide(n, [
-            np.array([k(eng, b, sa) for b in _points(n, a, vs)],
-                     dtype=bool).reshape((n,) * r) for vs, r, k in slots],
-            eng.fvals))"""),
-    SetExists: ("(k,), s = ks, phi.setvar", """
+    # a unary slot's points by a loop in place, a wider one's by product
+    QApp: ("q=phi.qname, slots=[(vs, len(vs), k) for (vs, _), k"
+           " in zip(phi.slots, ks)]", """
+        n, cols = eng.n, []
+        for vs, r, k in slots:
+            b, col = dict(a), []
+            if r == 1:
+                v, = vs
+                for b[v] in range(n):
+                    col.append(k(eng, b, sa))
+                cols.append(np.array(col, dtype=bool))
+            else:
+                for point in itertools.product(range(n), repeat=r):
+                    b.update(zip(vs, point))
+                    col.append(k(eng, b, sa))
+                cols.append(np.array(col, dtype=bool).reshape((n,) * r))
+        out = bool(eng.quantifiers[q].decide(n, cols, eng.fvals))"""),
+    SetExists: ("k=ks[0], s=phi.setvar", """
         for x in _subsets(eng.n):
             if out := k(eng, a, {**sa, s: x}):
                 break"""),
-    SetForall: ("(k,), s = ks, phi.setvar", """
+    SetForall: ("k=ks[0], s=phi.setvar", """
         for x in _subsets(eng.n):
             if not (out := k(eng, a, {**sa, s: x})):
                 break"""),

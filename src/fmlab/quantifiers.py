@@ -18,9 +18,8 @@ from .sets import NumericalSet, factorials, powers_of_two, squares
 class Quantifier:
     """A named quantifier: slot arities plus a decision procedure on
     (domain size, slots, permutation f) that decides a whole batch of
-    structures at once.  The declared flags are promises checked by tests;
-    `relativize_formula` trusts `universe_independent`, and no code reads
-    `order_invariant`.
+    structures at once.  The declared flag is a promise checked by tests;
+    `relativize_formula` trusts `universe_independent`.
 
     A slot is a bool array of shape `batch + (n,) * arity`: its slot axes
     always have length n, and its batch axes may have length 1, or be
@@ -33,7 +32,6 @@ class Quantifier:
     slot_arities: tuple
     decide: Callable
     universe_independent: bool = False
-    order_invariant: bool = False
     # For quantifiers whose verdict depends only on the slot sizes: the
     # decision on (n, sizes), a tuple of ints.
     sizes_decide: Optional[Callable] = None
@@ -102,12 +100,12 @@ def _counting(name: str, arities: tuple, sizes_decide: Callable,
 def cardinality(s: NumericalSet, name: Optional[str] = None) -> Quantifier:
     return _counting(name or f"C_{s.spec}", (1,),
                      lambda n, sizes: sizes[0] in s,
-                     universe_independent=True, order_invariant=True)
+                     universe_independent=True)
 
 
 def hartig() -> Quantifier:
     return _counting("I", (1, 1), lambda n, sizes: sizes[0] == sizes[1],
-                     universe_independent=True, order_invariant=True)
+                     universe_independent=True)
 
 
 def _divides(a: int, b: int) -> bool:
@@ -117,29 +115,27 @@ def _divides(a: int, b: int) -> bool:
 
 def divisibility() -> Quantifier:
     return _counting("D", (1, 1), lambda n, sizes: _divides(*sizes),
-                     universe_independent=True, order_invariant=True)
+                     universe_independent=True)
 
 
 def divisibility_by(m: int) -> Quantifier:
     if m < 1:
         raise ValueError("modulus must be positive")
     return _counting(f"D_{m}", (1,), lambda n, sizes: sizes[0] % m == 0,
-                     universe_independent=True, order_invariant=True)
+                     universe_independent=True)
 
 
 def majority() -> Quantifier:
-    return _counting("Maj", (1,), lambda n, sizes: 2 * sizes[0] > n,
-                     order_invariant=True)
+    return _counting("Maj", (1,), lambda n, sizes: 2 * sizes[0] > n)
 
 
 def majority_pairs() -> Quantifier:
-    return _counting("Maj2", (2,), lambda n, sizes: 2 * sizes[0] > n * n,
-                     order_invariant=True)
+    return _counting("Maj2", (2,), lambda n, sizes: 2 * sizes[0] > n * n)
 
 
 def exists_nonempty() -> Quantifier:
     return _counting("Some", (1,), lambda n, sizes: sizes[0] > 0,
-                     universe_independent=True, order_invariant=True)
+                     universe_independent=True)
 
 
 # ---------------------------------------------------------------------------
@@ -241,17 +237,18 @@ def language_quantifier(lang: Language) -> Quantifier:
               for i, c in enumerate(lang.alphabet)}
 
     def decide(n, slots, f):
-        if np.ndim(f) == 1 and all(np.ndim(s) == 1 for s in slots):
+        f = np.asarray(f)
+        if f.ndim == 1 and all(s.ndim == 1 for s in slots):
             # one structure: the word spelled in Python, one member call
             word = [bad] * n
-            for x, bits in zip(np.asarray(f).tolist(),
+            for x, bits in zip(f.tolist(),
                                zip(*[s.tolist() for s in slots])):
                 word[x] = letter.get(bits, bad)
             w = "".join(word)
             return np.bool_(bad not in w and lang.member(w))
         # each element's key: its f-value, then its code in the low k bits;
         # f is a permutation, so the sorted keys hold the codes in f-order
-        key = np.asarray(f) << k
+        key = f << k
         for i, s in enumerate(slots):
             key = key | s << i
         code = np.sort(key) & (1 << k) - 1
@@ -317,8 +314,7 @@ def regularize(q: Quantifier) -> Quantifier:
         return out.reshape(batch)
 
     return Quantifier(f"{q.name}^reg", arities, decide,
-                      universe_independent=True,
-                      order_invariant=q.order_invariant)
+                      universe_independent=True)
 
 
 def lift_over_order(q: Quantifier) -> Quantifier:
@@ -362,8 +358,7 @@ def powerset_quantifier() -> Quantifier:
                 out[i] = len(neighborhoods) == r and isqrt(d) ** 2 == d
         return out.reshape(batch)
 
-    return Quantifier("PowSq", (2,), decide, universe_independent=True,
-                      order_invariant=True)
+    return Quantifier("PowSq", (2,), decide, universe_independent=True)
 
 
 # ---------------------------------------------------------------------------

@@ -20,11 +20,18 @@ from _weakref import _remove_dead_weakref
 from dataclasses import dataclass
 from typing import Optional
 
-# every live formula by (class, *fields), as a weak reference that drops
-# its entry when the formula dies; fields are set once, by `_new`, and
-# equality is identity
+# every live formula by (class, fields), as one `_Entry`, a weak reference
+# that carries its key and drops it, by one shared callback, when the
+# formula dies; fields are set once, by `_new`, and equality is identity
 _TABLE: dict = {}
 _node = dataclass(frozen=True, eq=False, init=False)
+
+
+class _Entry(weakref.ref):
+    __slots__ = ("key",)
+
+    def forget(self):
+        _remove_dead_weakref(_TABLE, self.key)
 
 
 @_node
@@ -60,26 +67,26 @@ class Formula:
 
 def _new(cls, *fields):
     """cls(*fields) without the field count: the parser's constructor."""
-    key = (cls, *fields)
-    ref = _TABLE.get(key)
-    phi = None if ref is None else ref()
+    key = (cls, fields)
+    entry = _TABLE.get(key)
+    phi = None if entry is None else entry()
     if phi is None:
         phi = object.__new__(cls)
         d = phi.__dict__
         d.update(zip(cls.__match_args__, fields))
         d["kids"], d["free"], d["free_sets"], d["shapes"] = cls._scope(*fields)
-        _TABLE[key] = weakref.ref(
-            phi, lambda _, key=key: _remove_dead_weakref(_TABLE, key))
+        entry = _TABLE[key] = _Entry(phi, _Entry.forget)
+        entry.key = key
     return phi
 
 
-def _union(*parts) -> tuple:
-    """The sorted union of sorted tuples."""
-    out = ()
-    for part in parts:
-        if part and part != out:
-            out = tuple(sorted({*out, *part})) if out else part
-    return out
+def _union(x: tuple, y: tuple) -> tuple:
+    """The sorted union of sorted tuples x and y: x or y where it is one."""
+    if x == y or not y:
+        return x
+    out = {*x, *y}
+    return (x if len(out) == len(x) else y if len(out) == len(y)
+            else tuple(sorted(out)))
 
 
 def _drop(names: tuple, name: str) -> tuple:
@@ -145,9 +152,9 @@ class _Binary(Formula):
 
     @staticmethod
     def _scope(left, right):
-        shapes = left.shapes
-        if right.shapes is not shapes:
-            shapes = shapes | right.shapes
+        shapes, more = left.shapes, right.shapes
+        if not more <= shapes:
+            shapes = more if shapes <= more else shapes | more
         return ((left, right), _union(left.free, right.free),
                 _union(left.free_sets, right.free_sets), shapes)
 
@@ -192,10 +199,11 @@ class QApp(Formula):
             if len(set(vs)) != len(vs):
                 raise ValueError(f"slot variables must be distinct: {vs}")
         kids = tuple([sub for _, sub in slots])
-        free = _union(*[tuple([v for v in k.free if v not in vs])
-                        for vs, k in slots])
+        free = functools.reduce(_union, [
+            tuple([v for v in k.free if v not in vs]) for vs, k in slots], ())
         shape = ("quantifier", qname, tuple([len(vs) for vs, _ in slots]))
-        return (kids, free, _union(*[k.free_sets for k in kids]),
+        return (kids, free,
+                functools.reduce(_union, [k.free_sets for k in kids], ()),
                 frozenset({shape}).union(*[k.shapes for k in kids]))
 
 
@@ -255,8 +263,10 @@ def subformulas(phi: Formula):
 
 IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_']*")
 
-# one token, a name or an operator, after any whitespace
-TOKEN_RE = re.compile(rf"\s*({IDENT_RE.pattern}|<->|->|<=|[()\.;:,=<+&|!#@])")
+# one token: a name, an operator, or any other character but whitespace,
+# which `tokenize` refuses
+TOKEN_RE = re.compile(rf"{IDENT_RE.pattern}|<->|->|<=|\S")
+OPERATORS = frozenset(["<->", "->", "<=", *"().;:,=<+&|!#@"])
 
 
 class ParseError(ValueError):
@@ -268,9 +278,10 @@ class ParseError(ValueError):
 def tokenize(text: str) -> list[str]:
     """The tokens of `text`, whitespace dropped."""
     toks = TOKEN_RE.findall(text)
-    # findall skips a character that starts no token
-    if "".join(toks) != "".join(text.split()):
-        pos = re.match(rf"(?:{TOKEN_RE.pattern})*\s*", text).end()
+    kinds = set(toks)
+    if bad := {t for t in kinds - OPERATORS if not IDENT_RE.fullmatch(t)}:
+        pos = next(m.start() for m in TOKEN_RE.finditer(text)
+                   if m.group() in bad)
         raise ParseError(f"unexpected character {text[pos]!r}", pos)
     return toks
 
@@ -310,7 +321,7 @@ class Parser:
     def error(self, msg: str) -> ParseError:
         """A ParseError at the current token; token positions are found
         only here."""
-        starts = [m.start(1) for m in TOKEN_RE.finditer(self.text)]
+        starts = [m.start() for m in TOKEN_RE.finditer(self.text)]
         return ParseError(msg, [*starts, len(self.text)][self.i])
 
     def expect(self, tok):
