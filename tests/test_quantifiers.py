@@ -108,6 +108,20 @@ def test_decides_are_isomorphism_invariant():
             assert q.decide(n, slots, f) == q.decide(n, pslots, pf), q.name
 
 
+def test_order_invariant_flag_holds():
+    """A quantifier whose verdict is a function of its slot sizes keeps
+    that verdict under any order f of the domain."""
+    rng = random.Random(9)
+    for q in Q.builtin_quantifiers().values():
+        if q.sizes_decide is None:
+            continue
+        for _ in range(15):
+            n = rng.randrange(1, 7)
+            slots = random_slots(rng, n, q.slot_arities)
+            f2 = np.array(rng.sample(range(n), n))
+            assert q.decide(n, slots, np.arange(n)) == q.decide(n, slots, f2), q.name
+
+
 def test_universe_independent_flag_holds():
     """`relativize_formula` trusts this flag: a flagged quantifier keeps its
     verdict when its structure is embedded, in order, into up to 10 points
