@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import os
 import sys
 from fractions import Fraction
@@ -135,8 +136,9 @@ def _cmd_eval(args) -> int:
     builtins, registry, shapes = _context(args)
     phi = parse(_formula_text(args.formula), m.arities, shapes)
     assign = _parse_assign(args.assign)
-    verdict = evaluate(m, phi, assign, builtins=builtins,
-                       quantifiers=registry, budget=args.budget)
+    verdict = evaluate(m, phi, assign, builtins=builtins, quantifiers=registry,
+                       budget=DEFAULT_BUDGET if args.budget is None
+                       else args.budget)
     print("true" if verdict else "false")
     return 0 if verdict else 1
 
@@ -248,6 +250,7 @@ def _cmd_gen(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache  # one parser a process: parse_args changes none of it
 def _build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="fmlab")
     top.add_argument("--config", help="registration file for extra sets "
@@ -263,7 +266,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True)
     p.add_argument("--formula", required=True)
     p.add_argument("--assign", default="", help="k=v,... for free variables")
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
+    p.add_argument("--budget", type=int,
                    help=f"cap on evaluation steps (default {DEFAULT_BUDGET})")
     p.set_defaults(run=_cmd_eval)
 

@@ -29,10 +29,9 @@ from . import arithx, quantifiers as quantmod, sets as setsmod
 from .evaluator import (Batch, TruthTables, define_relation, ef_equivalent,
                         evaluate)
 from .model import (BrModel, PartialArithModel, builtin_registry,
-                    full_multiplication, powerset_structure, relativize,
-                    word_model, zero_rows)
+                    powerset_structure, relativize, word_model)
 from .randform import random_formula
-from .syntax import Exists, parse, quantifier_rank
+from .syntax import Exists, parse, quantifier_rank, subformulas
 from .transforms import mso_translate, relativize_formula, substitute
 
 DEFAULT_SEED = 271828
@@ -138,14 +137,24 @@ def _mask_bits(n: int) -> np.ndarray:
     return (np.arange(1 << n)[:, None] >> np.arange(n) & 1).astype(bool)
 
 
+_MASK_CELLS = 1 << 18  # the most cells of a table in one _on_masks slice
+
+
 def _on_masks(n: int, reg: dict, phis, **masks) -> list:
     """Each sentence's verdicts, as a list, on the batch of structures
     whose unary relations U, V, .. are the subsets `masks["U"]`, .. of n
-    points, under the identity f: one table evaluation for them all."""
-    bits = _mask_bits(n)
-    tables = TruthTables(Batch(n, dict.fromkeys(masks, 1), {
-        r: bits[m] for r, m in masks.items()}, np.arange(n)), quantifiers=reg)
-    return [tables.table(phi)[1].tolist() for phi in phis]
+    points, under the identity f: one table evaluation a slice, each slice
+    as many structures as keep every subformula's table in _MASK_CELLS."""
+    width = max(len(sub.free) for phi in phis for sub in subformulas(phi))
+    step = max(1, _MASK_CELLS // n ** width)
+    bits, out = _mask_bits(n), [[] for _ in phis]
+    for s in range(0, len(next(iter(masks.values()))), step):
+        tables = TruthTables(Batch(n, dict.fromkeys(masks, 1), {
+            r: bits[m[s:s + step]] for r, m in masks.items()},
+            np.arange(n)), quantifiers=reg)
+        for verdicts, phi in zip(out, phis):
+            verdicts += tables.table(phi)[1].tolist()
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -160,10 +169,9 @@ def _suite_haertig_addition(seed) -> list[Claim]:
                 quantmod.registry_shapes(reg))
 
     def defines_addition(n):
-        got = define_relation(BrModel(n, {}, {}, list(range(n))), phi,
-                              ("x", "y", "z"), quantifiers=reg)
-        return got == frozenset((a, b, a + b) for a in range(n)
-                                for b in range(n) if a + b < n)
+        dom = np.arange(n)
+        _, got = TruthTables(Batch(n, {}, {}, dom), quantifiers=reg).table(phi)
+        return np.array_equal(got, dom[:, None, None] + dom[:, None] == dom)
 
     return _first_failures(((n, n) for n in ADDITION_NS), (
         "equicardinality formula defines restricted addition for every n "
@@ -178,25 +186,27 @@ def _suite_order_from_plus(seed) -> list[Claim]:
     rng = random.Random(seed)
     phi = parse("E z. x + z = y")
 
-    def defines_order(f):
-        n = len(f)
-        got = define_relation(BrModel(n, {}, {}, f), phi, ("x", "y"))
-        return got == frozenset((a, b) for a in range(n) for b in range(n)
-                                if f[a] <= f[b])
+    def defines_order(fs):
+        """Whether phi defines each f's order, f a row of fs: one table."""
+        _, got = TruthTables(Batch(fs.shape[1], {}, {}, fs)).table(phi)
+        want = fs[:, :, None] <= fs[:, None, :]
+        return (got == want).all(axis=(1, 2)).tolist()
 
     def shuffled():
         for n in ORDER_NS:
-            for trial in range(1, ORDER_TRIALS + 1):
-                f = list(range(n))
+            fs = [list(range(n)) for _ in range(ORDER_TRIALS)]
+            for f in fs:
                 rng.shuffle(f)
-                yield (n, trial), f
+            yield from zip(((n, t) for t in range(1, ORDER_TRIALS + 1)),
+                           defines_order(np.array(fs)))
 
-    return (_first_failures(((n, list(range(n))) for n in ORDER_NS), (
+    return (_first_failures(((n, ok) for n in ORDER_NS
+                             for ok in defines_order(np.arange(n)[None])), (
                 "addition witness formula defines the order for the identity "
-                "permutation, n <= 64", "mismatch at n", defines_order))
+                "permutation, n <= 64", "mismatch at n", bool))
             + _first_failures(shuffled(), (
                 f"same for {ORDER_TRIALS} random permutations per n <= 64",
-                "mismatch at n,trial", defines_order)))
+                "mismatch at n,trial", bool)))
 
 
 # ---------------------------------------------------------------------------
@@ -207,10 +217,15 @@ MULEXT_SEEDS = 200
 
 
 def _random_partial_mult(rng, n: int) -> PartialArithModel:
+    """The zero rows, and each product a*b < n with probability p, drawn
+    in the order of (a, b)."""
     p = rng.random()
-    picked = {t for t in sorted(full_multiplication(n)) if rng.random() < p}
-    picked |= zero_rows(n)
-    return PartialArithModel(n, picked)
+    dom = np.arange(n)
+    fits = dom[:, None] * dom < n
+    known = np.zeros((n, n), dtype=bool)
+    known[fits] = [rng.random() < p for _ in range(np.count_nonzero(fits))]
+    known[0] = known[:, 0] = True
+    return PartialArithModel(n, known=known)
 
 
 def _suite_mulext_lemma(seed) -> list[Claim]:
@@ -221,18 +236,25 @@ def _suite_mulext_lemma(seed) -> list[Claim]:
             for i in range(MULEXT_SEEDS):
                 pm = _random_partial_mult(rng, n)
                 mu = arithx.mu_step(pm)
-                g0 = [0] + [pm.gamma(a) for a in range(1, n)]
-                g1 = [0] + [mu.gamma(a) for a in range(1, n)]
-                yield (n, i), n, mu.mult, g0, g1
+                # gamma of each a >= 1, at index a
+                g0, g1 = (np.array([0] + [m.gamma(a) for a in range(1, n)])
+                          for m in (pm, mu))
+                yield (n, i), mu.known, g0, g1
 
-    def symmetric_mult(n, mult, g0, g1):
-        return (all(a * b == c < n for a, b, c in mult)
-                and {(b, a, c) for a, b, c in mult} == mult)
+    def symmetric_mult(known, g0, g1):
+        dom = np.arange(len(known))
+        return (np.array_equal(known, known.T)
+                and not (known & (dom[:, None] * dom >= len(known))).any())
 
-    def spreads(n, mult, g0, g1):
-        return all(g1[b] >= min(g0[a] // ((b - 1) // a), (n - 1) // b)
-                   for a in range(1, n)
-                   for b in range(a + 1, min(a * a + a, n - 1) + 1))
+    def reach_symmetric(known, g0, g1):
+        reach = g1[1:, None] >= np.arange(1, len(g1))
+        return np.array_equal(reach, reach.T)
+
+    def spreads(known, g0, g1):
+        n = len(known)
+        a, b = np.arange(1, n)[:, None], np.arange(1, n)
+        rate = np.minimum(g0[a] // np.maximum((b - 1) // a, 1), (n - 1) // b)
+        return ((g1[b] >= rate) | (b <= a) | (b > a * a + a)).all()
 
     at = "seed index (n,i)"
     return _first_failures(
@@ -240,11 +262,9 @@ def _suite_mulext_lemma(seed) -> list[Claim]:
         ("one extension round outputs a symmetric partial multiplication "
          "(200 seeds at n=10,20,40,60)", at, symmetric_mult),
         ("the filled rectangle never shrinks", at,
-         lambda n, mult, g0, g1: all(g1[a] >= g0[a] for a in range(1, n))),
+         lambda known, g0, g1: (g1 >= g0).all()),
         ("rectangle reach is symmetric in its two sides", at,
-         lambda n, mult, g0, g1: all((g1[a] >= b) == (g1[b] >= a)
-                                     for a in range(1, n)
-                                     for b in range(1, n))),
+         reach_symmetric),
         ("reach spreads from a to each b <= a^2 + a at the guaranteed rate",
          at, spreads))
 
@@ -499,29 +519,23 @@ LIFT_NS = range(1, 10)
 LIFT_CHUNK = 1 << 14  # (U, V) pairs a batch
 
 
-def _order_lookup() -> tuple[bool, list]:
+def _order_lookup() -> tuple[bool, np.ndarray]:
     """Evaluate the tailored-order formula on a probe structure covering
     every (class of x, class of y, ambient comparison) combination and read
-    off its truth table; reports whether the readings are consistent."""
+    off its truth table as lut[class of x, class of y, x <= y]; reports
+    whether every reading of one entry agrees."""
     n = 8
-    cls = [x % 4 for x in range(n)]
-    m = BrModel(n, {"U": 1, "V": 1},
-                {"U": {(x,) for x in range(n) if cls[x] & 1},
-                 "V": {(x,) for x in range(n) if cls[x] & 2}},
-                list(range(n)))
-    rel = define_relation(m, parse(TAILORED_ORDER, {"U": 1, "V": 1}),
-                          ("t", "u"))
-    table = {}
-    consistent = True
-    for x in range(n):
-        for y in range(n):
-            key = (cls[x], cls[y], x <= y)
-            val = (x, y) in rel
-            if table.setdefault(key, val) != val:
-                consistent = False
-    lut = [[(table[(a, b, False)], table[(a, b, True)]) for b in range(4)]
-           for a in range(4)]
-    return consistent, lut
+    dom = np.arange(n)
+    cls = dom % 4
+    _, rel = TruthTables(Batch(n, {"U": 1, "V": 1}, {
+        "U": cls & 1 == 1, "V": cls & 2 == 2}, dom)).table(
+            parse(TAILORED_ORDER, {"U": 1, "V": 1}))
+    key = np.broadcast_arrays(cls[:, None], cls,
+                              (dom[:, None] <= dom).astype(int))
+    some, every = np.zeros((4, 4, 2), dtype=bool), np.ones((4, 4, 2), bool)
+    np.logical_or.at(some, tuple(key), rel)
+    np.logical_and.at(every, tuple(key), rel)
+    return np.array_equal(some, every), every
 
 
 def _suite_lift_hartig(seed) -> list[Claim]:
@@ -529,7 +543,6 @@ def _suite_lift_hartig(seed) -> list[Claim]:
     lifted = quantmod.lift_over_order(
         quantmod.language_quantifier(quantmod.lang_ambmck()))
     consistent, lut = _order_lookup()
-    lut = np.array(lut)  # [class of x, class of y, x <= y]
     claims = [Claim("the tailored-order formula depends only on membership "
                     "classes and the ambient comparison", consistent)]
 
@@ -712,45 +725,26 @@ def _median_formula():
 
 
 def _median_tables(n: int):
-    """Per-mask data for the vectorized route: popcount, split points and
-    their neighbours for the odd and even median subformulas."""
-    size = 1 << n
-    pc = np.zeros(size, np.int64)
-    mb_odd = np.zeros(size, np.int64)
-    ma_odd = np.zeros(size, np.int64)
-    ze = np.zeros(size, np.int64)
-    ma_even = np.zeros(size, np.int64)
-    for w in range(size):
-        pos = [i for i in range(n) if w >> i & 1]
-        k = len(pos)
-        pc[w] = k
-        if k % 2 == 1:
-            i = (k - 1) // 2
-            mb_odd[w] = pos[i - 1] if i else -1
-            ma_odd[w] = pos[i + 1] if i + 1 < k else n
-        elif k:
-            i = k // 2 - 1
-            ze[w] = pos[i]
-            ma_even[w] = pos[i + 1]
-    return pc, mb_odd, ma_odd, ze, ma_even
+    """Per-mask data for the vectorized route: the popcount k, and the
+    positions of the last member of the lower half, member k // 2 - 1
+    (counted from 0), and of the first member of the upper half, member
+    (k + 1) // 2; an odd k's median lies between them.  A member before
+    the first reads as position 0 and one past the last as n: only k <= 1
+    meets them, and there each split compares 0 with n."""
+    seen = _mask_bits(n).cumsum(axis=1)  # members up to each position
+    pc = seen[:, -1]
+    return pc, *[(seen <= j[:, None]).sum(axis=1)
+                 for j in (pc // 2 - 1, (pc + 1) // 2)]
 
 
 def _median_verdicts(n: int) -> np.ndarray:
     """The disjunction's verdict for every (U mask, V mask), computed from
     the split-point data (validated against real formula evaluation by the
-    sampled claim)."""
-    pc, mb_odd, ma_odd, ze, ma_even = _median_tables(n)
-    odd = pc % 2 == 1
-    even = (pc % 2 == 0) & (pc > 0)
-    eq = pc[:, None] == pc[None, :]
-    d0 = (pc[:, None] == 0) & (pc[None, :] == 0)
-    both_odd = odd[:, None] & odd[None, :]
-    both_even = even[:, None] & even[None, :]
-    d1 = both_odd & eq & (mb_odd[:, None] < ma_odd[None, :])
-    d2 = both_odd & eq & (mb_odd[None, :] < ma_odd[:, None])
-    d3 = both_even & eq & (ze[:, None] < ma_even[None, :])
-    d4 = both_even & eq & (ze[None, :] < ma_even[:, None])
-    return d0 | d1 | d2 | d3 | d4
+    sampled claim): its cases are both sets empty, and equal sizes with
+    U's lower half before V's upper half, or V's before U's."""
+    pc, low, high = _median_tables(n)
+    return (pc[:, None] == pc) & ((pc[:, None] == 0) | (low[:, None] < high)
+                                  | (low < high[:, None]))
 
 
 def _suite_median_trick(seed) -> list[Claim]:

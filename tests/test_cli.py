@@ -155,6 +155,28 @@ def test_ef_command(tmp_path, capsys):
     assert out == ["equivalent", "distinguishable"]
 
 
+def test_calls_in_one_process_share_no_arguments(tmp_path, monkeypatch,
+                                                 capsys):
+    # the parser is built once a process, and no call sees another's
+    # arguments: each `ef` reads its own two files and no others
+    paths = []
+    for n in (7, 9, 2, 3):
+        paths.append(tmp_path / f"m{n}.txt")
+        paths[-1].write_text(f"model\nn {n}\nend\n")
+    read = []
+    real = cli._read_model
+    monkeypatch.setattr(cli, "_read_model",
+                        lambda path: read.append(path) or real(path))
+    assert main(["ef", "--model", str(paths[0]), "--model", str(paths[1]),
+                 "--rank", "3"]) == 0
+    assert main(["ef", "--model", str(paths[2]), "--model", str(paths[3]),
+                 "--rank", "2"]) == 1
+    assert read == list(map(str, paths))
+    assert main(["mulext", "--n", "64"]) == 0
+    assert main(["parse", "--formula", "E x. x = x"]) == 0
+    assert cli._build_parser() is cli._build_parser()
+
+
 def test_ef_needs_two_models(plain_model, capsys):
     assert main(["ef", "--model", plain_model, "--rank", "2"]) == 2
 

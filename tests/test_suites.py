@@ -1,11 +1,13 @@
 import itertools
+import random
 
 import numpy as np
 import pytest
 
-from fmlab import suites
+from fmlab import arithx, suites
 from fmlab.evaluator import evaluate
-from fmlab.model import BrModel
+from fmlab.model import (BrModel, PartialArithModel, full_multiplication,
+                         zero_rows)
 from fmlab.suites import Claim, SuiteReport, _first_failures, run_suite
 
 EXPECTED = {
@@ -156,3 +158,68 @@ def test_batched_claim_names_its_first_bad_pair(monkeypatch):
     # the formula's batches stop at the flip: 4 + 16 pairs, then 43 at n=3
     assert (formula.ok, formula.detail, formula.cases) == (
         False, "n,Umask,Vmask=(3, 5, 2)", 63)
+
+
+def test_batched_order_claim_names_its_first_bad_trial(monkeypatch):
+    class Flipped(suites.TruthTables):
+        def table(self, phi, set_assignment=None):
+            vs, arr = super().table(phi, set_assignment)
+            if arr.shape == (suites.ORDER_TRIALS, 5, 5):  # n = 5's batch
+                arr = arr.copy()
+                arr[2, 0, 1] = not arr[2, 0, 1]  # trial 3
+            return vs, arr
+
+    monkeypatch.setattr(suites, "TruthTables", Flipped)
+    identity, shuffled = run_suite("order-from-plus").claims
+    assert (identity.ok, identity.cases) == (True, 64)
+    # 20 trials at each of n = 1..4, then 3 at n = 5
+    assert (shuffled.ok, shuffled.detail, shuffled.cases) == (
+        False, "mismatch at n,trial=(5, 3)", 83)
+
+
+def test_batched_mulext_claim_names_its_first_bad_seed(monkeypatch):
+    real, calls = arithx.mu_step, []
+
+    def lopsided(pm):
+        mu = real(pm)
+        calls.append(pm.n)
+        if len(calls) == 208:  # seed index (20, 7)
+            known = mu.known.copy()
+            a, b = np.argwhere(np.triu(known, 1))[0]
+            known[a, b] = False  # but not known[b, a]
+            return PartialArithModel(mu.n, known=known)
+        return mu
+
+    monkeypatch.setattr(arithx, "mu_step", lopsided)
+    symmetric = run_suite("mulext-lemma").claims[0]
+    assert (symmetric.ok, symmetric.detail, symmetric.cases) == (
+        False, "seed index (n,i)=(20, 7)", 208)
+
+
+@pytest.mark.parametrize("name, cases", [
+    ("haertig-addition", [63]),
+    ("order-from-plus", [64, 1280]),
+    ("mulext-lemma", [800] * 4),
+    ("median-trick", [10, 1564, 40]),
+    ("divmod-interdef", [1770] * 2),
+])
+def test_batched_claims_count_their_cases(name, cases):
+    # check_all.txt strips the counts; each case is still one structure,
+    # pair or seed index, though the claims check whole batches at once
+    claims = run_suite(name).claims
+    assert [(c.ok, c.cases) for c in claims] == [(True, k) for k in cases]
+
+
+def _triple_set_partial_mult(rng, n):
+    """The reference construction of `suites._random_partial_mult`."""
+    p = rng.random()
+    picked = {t for t in sorted(full_multiplication(n)) if rng.random() < p}
+    return PartialArithModel(n, picked | zero_rows(n))
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_random_partial_mult_draws_the_triple_set_models(seed):
+    rng, ref = random.Random(seed), random.Random(seed)
+    for n in suites.MULEXT_NS:
+        assert (suites._random_partial_mult(rng, n)
+                == _triple_set_partial_mult(ref, n)), n
